@@ -10,7 +10,9 @@ median so single outlier runs of the probabilistic modes cannot tilt the
 fit.
 
 Configuration comes from an INI file (section ``[experiment]``, optional
-``[problem]`` overrides) with command-line flags taking precedence.
+``[problem]`` overrides) with command-line flags taking precedence.  Both
+are read through one spec: the :class:`Setting` in each
+:class:`ExperimentConfig` field's metadata.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import math
 import sys
 import time
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, UnknownProblemError
+from .errors import ContractViolationError, DivergenceError, DomainError, UnknownProblemError
 from .problem import catalog, catalog_names
 from .solver import BOOSTED_MODES, MODES, SolveConfig, solve, sup_error
 
@@ -47,24 +49,72 @@ class ConfigError(ValueError):
     """Malformed experiment configuration or config file."""
 
 
+def _list_of(convert):
+    def parse(text: str) -> tuple:
+        return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _interval(text: str) -> tuple[float, float]:
+    bounds = _list_of(float)(text)
+    if len(bounds) != 2:
+        raise ValueError("interval must be two numbers")
+    return bounds
+
+
+class Setting(NamedTuple):
+    """Where a settable field is read from, and the converter from text that
+    the INI file and the flag share."""
+
+    section: str
+    key: str
+    flag: Optional[str]  # None for settings only the INI file can give
+    convert: Callable[[str], object]
+    help: str = ""
+
+
+def _setting(default, *spec):
+    return dataclasses.field(default=default, metadata={"setting": Setting(*spec)})
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Cross product defining one sweep, plus output options."""
+    """Cross product defining one sweep, plus output options.
 
-    problems: tuple[str, ...] = ("scalar-exponential",)
-    modes: tuple[str, ...] = ("det_exact",)
-    r_values: tuple[int, ...] = (0,)
-    rho_values: tuple[float, ...] = (1.0,)
-    n_values: tuple[int, ...] = (8, 16, 32, 64)
-    delta: float = 0.1
-    seeds: tuple[int, ...] = (0,)
-    samples_per_step: int = 8
-    out: str = "-"
-    timing: bool = False
-    cost_constant: float = 4.0
-    c: float = 3.0
-    eta: Optional[float] = None
-    interval: Optional[tuple[float, float]] = None
+    Every field is settable; its metadata holds its :class:`Setting`.
+    """
+
+    problems: tuple[str, ...] = _setting(
+        ("scalar-exponential",), "experiment", "problems", "--problem", _list_of(str),
+        f"comma-separated problem names (known: {', '.join(catalog_names())})")
+    modes: tuple[str, ...] = _setting(("det_exact",), "experiment", "modes", "--mode", _list_of(str),
+                                      f"comma-separated solver modes ({', '.join(MODES)})")
+    r_values: tuple[int, ...] = _setting((0,), "experiment", "r", "--r", _list_of(int),
+                                         "comma-separated derivative orders, e.g. 0,1,2")
+    rho_values: tuple[float, ...] = _setting((1.0,), "experiment", "rho", "--rho", _list_of(float),
+                                             "comma-separated Holder exponents, e.g. 1.0")
+    n_values: tuple[int, ...] = _setting((8, 16, 32, 64), "experiment", "n", "--n-grid", _list_of(int),
+                                         "comma-separated step counts, e.g. 8,16,32")
+    delta: float = _setting(0.1, "experiment", "delta", "--delta", float,
+                            "overall failure budget in (0, 1/2)")
+    seeds: tuple[int, ...] = _setting((0,), "experiment", "seeds", "--seeds", _list_of(int),
+                                      "comma-separated seeds, e.g. 0,1,2")
+    samples_per_step: int = _setting(8, "experiment", "samples_per_step", "--samples-per-step", int,
+                                     "error-grid density per piece (>= 2)")
+    out: str = _setting("-", "experiment", "out", "--out", str, "CSV output path, '-' for stdout")
+    timing: bool = _setting(False, "experiment", "timing", "--timing", _boolean,
+                            "record wall times (breaks byte-for-byte reproducibility)")
+    cost_constant: float = _setting(4.0, "experiment", "cost_constant", None, float)
+    c: float = _setting(3.0, "experiment", "c", None, float)
+    eta: Optional[float] = _setting(None, "problem", "eta", None, float)
+    interval: Optional[tuple[float, float]] = _setting(None, "problem", "interval", None, _interval)
 
     def __post_init__(self):
         for mode in self.modes:
@@ -76,10 +126,14 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1/2), got {self.delta}")
         if self.samples_per_step < 2:
             raise ConfigError("samples_per_step must be at least 2")
-        if not self.problems:
-            raise ConfigError("at least one problem required")
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
+        for name in ("problems", "modes", "r_values", "rho_values", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one value")
+        if not self.out:
+            raise ConfigError("out must be a path or '-'")
+
+
+SETTINGS = tuple((f.name, f.metadata["setting"]) for f in dataclasses.fields(ExperimentConfig))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,11 +160,14 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run every sweep cell; divergence becomes a flagged row, not a crash."""
+    # Built before the first cell, so a bad problem fails before any solve.
+    problems = {(name, r, rho): catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
+                for name, r, rho in product(config.problems, config.r_values, config.rho_values)}
     rows = []
     for problem_name, mode, r, rho, n, seed in product(
             config.problems, config.modes, config.r_values, config.rho_values,
             config.n_values, config.seeds):
-        problem = catalog(problem_name, r=r, rho=rho, eta=config.eta, interval=config.interval)
+        problem = problems[problem_name, r, rho]
         a, b = problem.interval
         h = (b - a) / n
         scfg = SolveConfig(n=n, mode=mode, delta=config.delta, seed=seed,
@@ -207,59 +264,19 @@ def estimate_cost_exponent(rows: Sequence[SweepRow], delta: float = 0.1) -> floa
 # configuration plumbing
 
 
-def _parse_list(text: str, convert):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(convert(item) for item in items)
+def _convert(setting: Setting, text: str, source: str):
+    try:
+        return setting.convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {source}: {exc}") from exc
 
 
 def _config_from_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    values: dict = {}
-    if parser.has_section("experiment"):
-        section = parser["experiment"]
-        try:
-            if "problems" in section:
-                values["problems"] = _parse_list(section["problems"], str)
-            if "modes" in section:
-                values["modes"] = _parse_list(section["modes"], str)
-            if "r" in section:
-                values["r_values"] = _parse_list(section["r"], int)
-            if "rho" in section:
-                values["rho_values"] = _parse_list(section["rho"], float)
-            if "n" in section:
-                values["n_values"] = _parse_list(section["n"], int)
-            if "delta" in section:
-                values["delta"] = float(section["delta"])
-            if "seeds" in section:
-                values["seeds"] = _parse_list(section["seeds"], int)
-            if "samples_per_step" in section:
-                values["samples_per_step"] = int(section["samples_per_step"])
-            if "out" in section:
-                values["out"] = section["out"]
-            if "timing" in section:
-                values["timing"] = section.getboolean("timing")
-            if "cost_constant" in section:
-                values["cost_constant"] = float(section["cost_constant"])
-            if "c" in section:
-                values["c"] = float(section["c"])
-        except ValueError as exc:
-            raise ConfigError(f"bad value in [experiment]: {exc}") from exc
-    if parser.has_section("problem"):
-        section = parser["problem"]
-        try:
-            if "eta" in section:
-                values["eta"] = float(section["eta"])
-            if "interval" in section:
-                iv = _parse_list(section["interval"], float)
-                if len(iv) != 2:
-                    raise ConfigError("interval must be two numbers")
-                values["interval"] = iv
-        except ValueError as exc:
-            raise ConfigError(f"bad value in [problem]: {exc}") from exc
-    return values
+    return {name: _convert(s, parser.get(s.section, s.key), f"[{s.section}] {s.key}")
+            for name, s in SETTINGS if parser.has_option(s.section, s.key)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,51 +286,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "emit one CSV row per (problem, mode, r, rho, n, seed) cell.",
     )
     parser.add_argument("--config", metavar="FILE", help="INI config file; flags override its values")
-    parser.add_argument("--problem", metavar="NAMES",
-                        help=f"comma-separated problem names (known: {', '.join(catalog_names())})")
-    parser.add_argument("--mode", metavar="MODES",
-                        help=f"comma-separated solver modes ({', '.join(MODES)})")
-    parser.add_argument("--r", metavar="LIST", help="comma-separated derivative orders, e.g. 0,1,2")
-    parser.add_argument("--rho", metavar="LIST", help="comma-separated Holder exponents, e.g. 1.0")
-    parser.add_argument("--n-grid", metavar="LIST", help="comma-separated step counts, e.g. 8,16,32")
-    parser.add_argument("--delta", type=float, help="overall failure budget in (0, 1/2)")
-    parser.add_argument("--seeds", metavar="LIST", help="comma-separated seeds, e.g. 0,1,2")
-    parser.add_argument("--samples-per-step", type=int, help="error-grid density per piece (>= 2)")
-    parser.add_argument("--out", metavar="PATH", help="CSV output path, '-' for stdout")
-    parser.add_argument("--timing", action="store_true",
-                        help="record wall times (breaks byte-for-byte reproducibility)")
+    for name, s in SETTINGS:
+        if s.flag is None:
+            continue
+        if s.convert is _boolean:
+            # A switch: present means "true", parsed like the INI text.
+            parser.add_argument(s.flag, dest=name, action="store_const", const="true", help=s.help)
+        else:
+            parser.add_argument(s.flag, dest=name, metavar=s.key.upper(), help=s.help)
     parser.add_argument("--report", choices=("order", "cost"),
                         help="after the sweep, print a per-group slope estimate to stderr")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_config_from_file(args.config))
-    try:
-        if args.problem:
-            values["problems"] = _parse_list(args.problem, str)
-        if args.mode:
-            values["modes"] = _parse_list(args.mode, str)
-        if args.r is not None:
-            values["r_values"] = _parse_list(args.r, int)
-        if args.rho is not None:
-            values["rho_values"] = _parse_list(args.rho, float)
-        if args.n_grid:
-            values["n_values"] = _parse_list(args.n_grid, int)
-        if args.delta is not None:
-            values["delta"] = args.delta
-        if args.seeds:
-            values["seeds"] = _parse_list(args.seeds, int)
-        if args.samples_per_step is not None:
-            values["samples_per_step"] = args.samples_per_step
-        if args.out:
-            values["out"] = args.out
-        if args.timing:
-            values["timing"] = True
-    except ValueError as exc:
-        raise ConfigError(f"bad flag value: {exc}") from exc
+    values = _config_from_file(args.config) if args.config is not None else {}
+    for name, s in SETTINGS:
+        text = getattr(args, name, None)
+        if text is not None:
+            values[name] = _convert(s, text, s.flag)
     return ExperimentConfig(**values)
 
 
@@ -340,10 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         rows = run_sweep(config)
-    except (ConfigError, ContractViolationError, UnknownProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ContractViolationError, DomainError, UnknownProblemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = rows_to_csv(rows)

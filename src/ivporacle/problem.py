@@ -311,6 +311,8 @@ def _logistic(r: int, rho: float, eta: float, interval: tuple[float, float]) -> 
 
     a = interval[0]
     eta_f = float(eta)
+    if eta_f == 0.0:
+        raise DomainError("logistic eta must be nonzero")
     c = 1.0 / eta_f - 1.0
 
     def reference(t):
@@ -380,6 +382,8 @@ def _integration_reduction(r: int, rho: float, eta, interval: tuple[float, float
     a = interval[0]
     anti = bundle.antideriv
     eta_vec = np.zeros(2) if eta is None else np.asarray(eta, dtype=float).reshape(-1)
+    if eta_vec.shape != (2,):
+        raise ContractViolationError(f"eta must have 2 components, got {eta_vec.size}")
     u0, v0 = float(eta_vec[0]), float(eta_vec[1])
 
     def reference(t):
@@ -425,6 +429,8 @@ def catalog(
     ``r``/``rho`` select the declared smoothness the solver should exploit;
     ``eta`` and ``interval`` override the entry defaults.
     """
+    if not isinstance(r, int) or not 0 <= r <= MAX_ORDER:
+        raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {r}")
     base = name
     g_key = None
     if ":" in name:

@@ -175,15 +175,14 @@ def integrate_reference(g, tol: float = 1e-12, max_panels: int = 4096) -> np.nda
     return prev
 
 
-def quantum_reference(g, dim: Optional[int] = None) -> np.ndarray:
+def quantum_reference(g) -> np.ndarray:
     """Internal reference of the simulated-quantum oracle.
 
     Composite 10-point Gauss with exactly ``QUANTUM_REFERENCE_NODES * dim``
     nodes.  Exposed so a caller integrating the same ``g`` repeatedly (for
     boosting) can compute the reference once and pass it back in.
     """
-    if dim is None:
-        dim = getattr(g, "dim", None)
+    dim = getattr(g, "dim", None)
     if dim is None:
         dim = _eval(g, np.array([0.5])).shape[0]
     panels = (QUANTUM_REFERENCE_NODES * dim) // 10

@@ -18,6 +18,7 @@ distance to the true solution contracts at order ``r + rho + 1`` in ``h``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -142,21 +143,13 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
             ledger.charge_queries(problem.dim)
         elif cfg.mode == "det_values":
             a_i = integrate_deterministic(g_i, oracle_cfg).value
-        elif cfg.mode == "randomized":
+        else:  # boosted: randomized or quantum_sim
+            oracle = integrate_randomized
+            if cfg.mode == "quantum_sim":
+                oracle = functools.partial(integrate_quantum_sim,
+                                           reference=quantum_reference(g_i.detached()))
             est = boost_median(
-                lambda j: integrate_randomized(
-                    g_i, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j))),
-                k,
-            )
-            ledger.charge_queries(est.queries)
-            ledger.charge_repetitions(k)
-            a_i = est.value
-        else:  # quantum_sim
-            ref = quantum_reference(g_i.detached())
-            est = boost_median(
-                lambda j: integrate_quantum_sim(
-                    g_i, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)),
-                    reference=ref),
+                lambda j: oracle(g_i, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j))),
                 k,
             )
             ledger.charge_queries(est.queries)

@@ -13,7 +13,7 @@ from ivporacle import (
     rows_to_csv,
     run_sweep,
 )
-from ivporacle.cli import CSV_COLUMNS, ConfigError, main
+from ivporacle.cli import CSV_COLUMNS, SETTINGS, ConfigError, _build_parser, _config_from_args, main
 
 
 def make_row(n, sup_error, mode="det_values", classical=0, queries=0, seed=0):
@@ -37,6 +37,9 @@ class TestExperimentConfig:
         dict(samples_per_step=1),
         dict(problems=()),
         dict(seeds=()),
+        dict(modes=()),
+        dict(r_values=()),
+        dict(rho_values=()),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -194,6 +197,11 @@ class TestMain:
         ["--delta", "0.9"],
         ["--config", "/nonexistent/sweep.ini"],
         ["--n-grid", "8,abc"],
+        ["--r", "4"],
+        ["--delta", "abc"],
+        ["--samples-per-step", "many"],
+        ["--problem", ""],
+        ["--r", ""],
     ])
     def test_bad_input_exits_2(self, args, capsys):
         assert main(args + ["--n-grid", "8"] if args[0] != "--n-grid" else args) == 2
@@ -206,3 +214,40 @@ class TestMain:
         assert "order problem=scalar-exponential" in err
         slope = float(err.rsplit("slope=", 1)[1])
         assert 1.7 <= slope <= 2.5
+
+
+# Every setting with the INI section and key and the flag it is documented
+# under, a value from the file, and a different value from the flag
+# (None for INI-only settings).
+SETTING_CASES = {
+    "problems": ("experiment", "problems", "logistic", ("logistic",),
+                 ["--problem", "scalar-quadratic,logistic"], ("scalar-quadratic", "logistic")),
+    "modes": ("experiment", "modes", "det_values", ("det_values",),
+              ["--mode", "randomized,quantum_sim"], ("randomized", "quantum_sim")),
+    "r_values": ("experiment", "r", "1, 2", (1, 2), ["--r", "3"], (3,)),
+    "rho_values": ("experiment", "rho", "0.5", (0.5,), ["--rho", "0.25,1"], (0.25, 1.0)),
+    "n_values": ("experiment", "n", "4, 8", (4, 8), ["--n-grid", "16"], (16,)),
+    "delta": ("experiment", "delta", "0.2", 0.2, ["--delta", "0.05"], 0.05),
+    "seeds": ("experiment", "seeds", "3, 4", (3, 4), ["--seeds", "5"], (5,)),
+    "samples_per_step": ("experiment", "samples_per_step", "4", 4, ["--samples-per-step", "6"], 6),
+    "out": ("experiment", "out", "a.csv", "a.csv", ["--out", "b.csv"], "b.csv"),
+    "timing": ("experiment", "timing", "false", False, ["--timing"], True),
+    "cost_constant": ("experiment", "cost_constant", "2.5", 2.5, None, None),
+    "c": ("experiment", "c", "5.0", 5.0, None, None),
+    "eta": ("problem", "eta", "0.3", 0.3, None, None),
+    "interval": ("problem", "interval", "0.0, 2.0", (0.0, 2.0), None, None),
+}
+
+
+@pytest.mark.parametrize("name,setting", SETTINGS, ids=[name for name, _ in SETTINGS])
+def test_setting_from_file_and_flag(name, setting, tmp_path):
+    section, key, text, value, flag_argv, flag_value = SETTING_CASES[name]
+    assert (setting.section, setting.key) == (section, key)
+    assert setting.flag == (flag_argv[0] if flag_argv else None)
+    cfg_file = tmp_path / "one.ini"
+    cfg_file.write_text(f"[{section}]\n{key} = {text}\n")
+    from_file = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)]))
+    assert getattr(from_file, name) == value
+    if flag_argv:
+        both = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)] + flag_argv))
+        assert getattr(both, name) == flag_value

@@ -205,6 +205,17 @@ class TestCatalog:
         with pytest.raises(UnknownProblemError):
             catalog("pendulum")
 
+    @pytest.mark.parametrize("name,kwargs,error", [
+        ("scalar-exponential", dict(r=4), ContractViolationError),
+        ("scalar-exponential", dict(r=-1), ContractViolationError),
+        ("scalar-quadratic", dict(r=1.5), ContractViolationError),
+        ("integration-reduction", dict(eta=0.5), ContractViolationError),
+        ("logistic", dict(eta=0.0), DomainError),
+    ])
+    def test_bad_request_raises_typed_error(self, name, kwargs, error):
+        with pytest.raises(error):
+            catalog(name, **kwargs)
+
     def test_unknown_integrand_key(self):
         with pytest.raises(UnknownProblemError):
             catalog("integration-reduction:sin-2pi")
