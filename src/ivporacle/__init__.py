@@ -14,6 +14,7 @@ from .errors import (
     ContractViolationError,
     DivergenceError,
     DomainError,
+    StationaryStartError,
     UnknownProblemError,
 )
 from .problem import (
@@ -87,6 +88,7 @@ __all__ = [
     "QUANTUM_REFERENCE_NODES",
     "ResidualIntegrand",
     "SolveConfig",
+    "StationaryStartError",
     "SweepRow",
     "TaylorMap",
     "Trajectory",

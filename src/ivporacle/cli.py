@@ -30,7 +30,13 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, DomainError, UnknownProblemError
+from .errors import (
+    ContractViolationError,
+    DivergenceError,
+    DomainError,
+    StationaryStartError,
+    UnknownProblemError,
+)
 from .problem import catalog, catalog_names
 from .solver import BOOSTED_MODES, MODES, SolveConfig, solve, sup_error
 
@@ -159,7 +165,8 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Run every sweep cell; divergence becomes a flagged row, not a crash."""
+    """Run every sweep cell; divergence and a stationary start become flagged
+    rows, not a crash."""
     # Built before the first cell, so a bad problem fails before any solve.
     problems = {(name, r, rho): catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
                 for name, r, rho in product(config.problems, config.r_values, config.rho_values)}
@@ -185,6 +192,9 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
                 err_flag = "no-reference"
         except DivergenceError as exc:
             err_flag = f"divergence:step={exc.step}"
+        except StationaryStartError as exc:
+            err_flag = "stationary-start"
+            ledger = exc.ledger
         wall = time.perf_counter() - start if config.timing else 0.0
         rows.append(SweepRow(
             problem=problem_name, mode=mode, r=r, rho=rho, n=n, h=h, seed=seed,

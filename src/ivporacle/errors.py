@@ -21,3 +21,14 @@ class DivergenceError(RuntimeError):
         self.step = step
         self.norm = norm
         super().__init__(f"trajectory diverged at step {step} (|y| ~ {norm:.3e})")
+
+
+class StationaryStartError(ContractViolationError):
+    """``f(eta) = 0``: the solver does not support a stationary start.
+
+    ``ledger`` holds what the failed solve had charged (the start check).
+    """
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+        super().__init__("f(eta) must be nonzero (stationary start not supported)")

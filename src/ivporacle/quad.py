@@ -28,6 +28,14 @@ All oracles are deterministic functions of ``(g, config)``; the randomized
 kinds draw from a generator seeded by ``config.seed``.  Integrands are
 callables mapping a float array of shape ``(m,)`` to values of shape
 ``(m,)`` or ``(dim, m)``.
+
+Boosting makes ``k`` independent runs of a randomized kind on one integrand.
+Both take ``seeds=`` to make them as one batch: each run draws from its own
+``default_rng(seed)`` stream, and the work common to all runs (the panel
+values and control variate, or the simulator's reference) is done once.
+The batch returns the ``(k, dim)`` run values, each equal bit for bit to
+the single call with that seed, charged at ``k`` times the per-call budget;
+:func:`median_of` merges them.  A single call is the batch of one run.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +59,7 @@ __all__ = [
     "integrate_reference",
     "quantum_reference",
     "boost_median",
+    "median_of",
     "repetitions_for",
     "derive_seed",
 ]
@@ -63,7 +72,11 @@ QUANTUM_REFERENCE_NODES = 10_000
 
 @dataclasses.dataclass(frozen=True)
 class IntegralEstimate:
-    """One oracle output: the estimate, its price, and its target accuracy."""
+    """One oracle output: the estimate, its price, and its target accuracy.
+
+    ``value`` has shape ``(dim,)`` for one run, or ``(k, dim)`` for a batch
+    of ``k`` runs whose ``queries`` is their summed price.
+    """
 
     value: np.ndarray
     queries: int
@@ -71,7 +84,9 @@ class IntegralEstimate:
     target_eps: float
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.value, dtype=float))
+        v = np.asarray(self.value, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
         v.setflags(write=False)
         object.__setattr__(self, "value", v)
         if self.queries < 0:
@@ -211,7 +226,24 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     return IntegralEstimate(value=value, queries=panels * q, kind=cfg.kind, target_eps=cfg.eps1)
 
 
-def integrate_randomized(g, cfg: OracleConfig) -> IntegralEstimate:
+def _runs(cfg: OracleConfig, seeds: Optional[Sequence[int]]) -> list[int]:
+    """Seeds of the runs to make: ``seeds`` for a batch, else ``config.seed``."""
+    if seeds is None:
+        return [int(cfg.seed)]
+    if len(seeds) < 1:
+        raise ContractViolationError("seeds must list at least one seed")
+    return [int(s) for s in seeds]
+
+
+def _emit(values: np.ndarray, per_call: int, cfg: OracleConfig, batched: bool) -> IntegralEstimate:
+    """One run's estimate, or the batch of ``(k, dim)`` runs charged ``k`` calls."""
+    if not batched:
+        return IntegralEstimate(value=values[0], queries=per_call, kind=cfg.kind, target_eps=cfg.eps1)
+    return IntegralEstimate(value=values, queries=len(values) * per_call, kind=cfg.kind,
+                            target_eps=cfg.eps1)
+
+
+def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = None) -> IntegralEstimate:
     """Control-variate Monte Carlo estimate.
 
     Splits the budget between a piecewise degree-``r`` interpolant of ``g``
@@ -219,9 +251,16 @@ def integrate_randomized(g, cfg: OracleConfig) -> IntegralEstimate:
     estimator is unbiased; the interpolant reproduces polynomials of degree
     at most ``r`` exactly, so such integrands are computed to rounding error
     regardless of the seed.
+
+    With ``seeds`` the call makes one run per seed, each drawing its samples
+    from its own ``default_rng(seed)`` stream, and returns their ``(k, dim)``
+    values charged at ``k`` times the per-call budget.  The interpolant is
+    built once and ``g`` is called once for the samples of all runs; each
+    run equals the single call with that seed bit for bit.
     """
     if cfg.kind != "randomized":
         raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
+    runs = _runs(cfg, seeds)
     r, _ = cfg.smoothness
     q = r + 1
     budget = _budget(cfg, 0.5)
@@ -232,21 +271,22 @@ def integrate_randomized(g, cfg: OracleConfig) -> IntegralEstimate:
     _, w_ref = _gauss_rule(q)
     det_part = np.einsum("dpq,q->d", vals, w_ref) / panels
 
-    rng = np.random.default_rng(int(cfg.seed))
-    u = rng.random(nsamples)
+    u = np.concatenate([np.random.default_rng(seed).random(nsamples) for seed in runs])
     idx = np.minimum((u * panels).astype(int), panels - 1)
     xi = u * panels - idx
     coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
-    local = coeffs[:, idx, :]  # (dim, nsamples, q)
+    local = coeffs[:, idx, :]  # (dim, k * nsamples, q)
     p_at_u = local[:, :, q - 1]
     for k in range(q - 2, -1, -1):
         p_at_u = p_at_u * xi + local[:, :, k]
-    residual_mean = np.mean(_eval(g, u) - p_at_u, axis=1)
-    return IntegralEstimate(value=det_part + residual_mean, queries=panels * q + nsamples,
-                            kind=cfg.kind, target_eps=cfg.eps1)
+    resid = _eval(g, u) - p_at_u
+    residual_means = np.mean(resid.reshape(resid.shape[0], len(runs), nsamples), axis=2)
+    values = (det_part[:, None] + residual_means).T
+    return _emit(values, panels * q + nsamples, cfg, seeds is not None)
 
 
-def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] = None) -> IntegralEstimate:
+def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] = None,
+                          seeds: Optional[Sequence[int]] = None) -> IntegralEstimate:
     """Simulated quantum integral oracle.
 
     Emits, independently per component, ``reference + noise`` where the noise
@@ -256,25 +296,38 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
     outliers to suppress.  ``reference`` short-circuits the internal
     quadrature when the caller already holds it; queries are always charged
     at the modeled budget.
+
+    With ``seeds`` the call emits one value per seed around the one
+    reference, each from its own ``default_rng(seed)`` stream, and returns
+    the ``(k, dim)`` values charged at ``k`` times the budget; each equals
+    the single call with that seed bit for bit.
     """
     if cfg.kind != "quantum_sim":
         raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
+    runs = _runs(cfg, seeds)
     budget = _budget(cfg, 1.0)
     if reference is None:
         base = g.detached() if hasattr(g, "detached") else g
         reference = quantum_reference(base)
-    reference = np.atleast_1d(np.asarray(reference, dtype=float))
-    rng = np.random.default_rng(int(cfg.seed))
+    reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
     eps = cfg.eps1
-    value = np.empty_like(reference)
-    for j in range(reference.shape[0]):
-        if rng.random() < 0.75:
-            noise = rng.uniform(-eps, eps)
-        else:
-            magnitude = rng.uniform(eps, 10.0 * eps)
-            noise = magnitude if rng.random() < 0.5 else -magnitude
-        value[j] = reference[j] + noise
-    return IntegralEstimate(value=value, queries=budget, kind=cfg.kind, target_eps=cfg.eps1)
+    values = []
+    for seed in runs:
+        # A component takes, in stream order, a band draw, a noise draw and,
+        # for an outlier, a sign draw; three per component always suffice.
+        # Noise is computed as ``Generator.uniform(lo, hi)`` does it,
+        # ``lo + (hi - lo) * random()``.
+        draws = iter(np.random.default_rng(seed).random(3 * len(reference)).tolist())
+        value = []
+        for ref_j in reference:
+            if next(draws) < 0.75:
+                noise = -eps + (eps - -eps) * next(draws)
+            else:
+                magnitude = eps + (10.0 * eps - eps) * next(draws)
+                noise = magnitude if next(draws) < 0.5 else -magnitude
+            value.append(ref_j + noise)
+        values.append(value)
+    return _emit(np.array(values), budget, cfg, seeds is not None)
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
@@ -291,13 +344,15 @@ def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEsti
     first = estimates[0]
     if k == 1:
         return first
-    stacked = np.stack([e.value for e in estimates])
-    return IntegralEstimate(
-        value=np.median(stacked, axis=0),
-        queries=sum(e.queries for e in estimates),
-        kind=first.kind,
-        target_eps=first.target_eps,
-    )
+    return median_of(IntegralEstimate(value=np.stack([e.value for e in estimates]),
+                                      queries=sum(e.queries for e in estimates),
+                                      kind=first.kind, target_eps=first.target_eps))
+
+
+def median_of(batch: IntegralEstimate) -> IntegralEstimate:
+    """Componentwise median of a batch of ``(k, dim)`` runs, at their summed price."""
+    return IntegralEstimate(value=np.median(batch.value, axis=0), queries=batch.queries,
+                            kind=batch.kind, target_eps=batch.target_eps)
 
 
 def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:

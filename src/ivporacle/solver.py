@@ -18,14 +18,16 @@ distance to the true solution contracts at order ``r + rho + 1`` in ``h``.
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, DomainError
+from .errors import ContractViolationError, DivergenceError, DomainError, StationaryStartError
 from .problem import CostLedger, IVPProblem, eval_rhs
-from .quad import (
+# boost_median is not called here; it stays a module attribute because the
+# benchmark's tracer (perfbench/spans.py) patches it by name.
+from .quad import (  # noqa: F401
+    IntegralEstimate,
     OracleConfig,
     boost_median,
     derive_seed,
@@ -33,15 +35,21 @@ from .quad import (
     integrate_quantum_sim,
     integrate_randomized,
     integrate_reference,
+    median_of,
     quantum_reference,
     repetitions_for,
 )
-from .taylor import VecPolynomial, build_l, build_w, integrate_w_of_l, local_derivatives, residual
+from .taylor import (
+    ResidualIntegrand,
+    VecPolynomial,
+    build_l,
+    build_w,
+    integrate_w_of_l,
+    local_derivatives,
+    residual,
+)
 
 __all__ = ["MODES", "BOOSTED_MODES", "SolveConfig", "Trajectory", "solve", "eval_trajectory", "sup_error"]
-
-MODES = ("det_exact", "det_values", "randomized", "quantum_sim")
-BOOSTED_MODES = ("randomized", "quantum_sim")
 
 #: Trajectories whose max norm exceeds this multiple of (1 + |eta|) abort.
 DIVERGENCE_FACTOR = 1e6
@@ -100,12 +108,75 @@ class Trajectory:
         return self.endpoints.shape[1]
 
 
+class _Run(NamedTuple):
+    """What a corrector needs beyond the step's residual."""
+
+    ledger: CostLedger
+    oracle: Optional[OracleConfig]
+    k: int
+    seed: int
+
+    def seeds(self, i: int) -> list[int]:
+        """One seed per boosting repetition of step ``i``."""
+        return [derive_seed(self.seed, i, j) for j in range(self.k)]
+
+
+def _det_exact(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
+    run.ledger.charge_queries(g.dim)
+    return integrate_reference(g.detached(), tol=DET_EXACT_TOL)
+
+
+def _det_values(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
+    return integrate_deterministic(g, run.oracle).value
+
+
+def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
+    # The k runs share one evaluation of the panel nodes, so the residual
+    # cannot count them; each run's points are charged as if made alone.
+    est = integrate_randomized(g.detached(), run.oracle, seeds=run.seeds(i))
+    run.ledger.charge_classical(est.queries)
+    return _boosted(est, run)
+
+
+def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
+    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g.detached()),
+                                seeds=run.seeds(i))
+    return _boosted(est, run)
+
+
+def _boosted(batch: IntegralEstimate, run: _Run) -> np.ndarray:
+    run.ledger.charge_queries(batch.queries)
+    run.ledger.charge_repetitions(run.k)
+    return median_of(batch).value
+
+
+class _Mode(NamedTuple):
+    """A solver mode: its oracle kind (None for det_exact), whether its
+    steps are boosted, and its corrector ``(g_i, i, run) -> A_i``."""
+
+    kind: Optional[str]
+    boosted: bool
+    correct: Callable[[ResidualIntegrand, int, _Run], np.ndarray]
+
+
+# Correctors reach the oracles through this module's globals at call time.
+_MODES = {
+    "det_exact": _Mode(None, False, _det_exact),
+    "det_values": _Mode("deterministic", False, _det_values),
+    "randomized": _Mode("randomized", True, _randomized),
+    "quantum_sim": _Mode("quantum_sim", True, _quantum_sim),
+}
+MODES = tuple(_MODES)
+BOOSTED_MODES = tuple(name for name, mode in _MODES.items() if mode.boosted)
+
+
 def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     """Run the stepper over the problem's interval.
 
     Raises :class:`DivergenceError` if the state norm exceeds
-    ``1e6 (1 + |eta|)`` (the standing-assumption check ``f(eta) != 0`` is
-    also enforced here, where the first evaluation happens anyway).
+    ``1e6 (1 + |eta|)``, and :class:`StationaryStartError` if ``f(eta) = 0``
+    (the standing assumption, checked here where the first evaluation
+    happens anyway).
     """
     a, b = problem.interval
     n = cfg.n
@@ -117,14 +188,15 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
 
     f_eta = eval_rhs(problem, problem.eta, ledger)
     if np.max(np.abs(f_eta)) == 0.0:
-        raise ContractViolationError("f(eta) must be nonzero (stationary start not supported)")
+        raise StationaryStartError(ledger)
 
+    mode = _MODES[cfg.mode]
     oracle_cfg = None
-    if cfg.mode in ("det_values", "randomized", "quantum_sim"):
-        kind = "deterministic" if cfg.mode == "det_values" else cfg.mode
-        oracle_cfg = OracleConfig(kind=kind, eps1=h, smoothness=(r, rho),
+    if mode.kind is not None:
+        oracle_cfg = OracleConfig(kind=mode.kind, eps1=h, smoothness=(r, rho),
                                   seed=cfg.seed, cost_constant=cfg.cost_constant)
-    k = repetitions_for(cfg.delta, n, cfg.c) if cfg.mode in BOOSTED_MODES else 1
+    k = repetitions_for(cfg.delta, n, cfg.c) if mode.boosted else 1
+    run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, seed=cfg.seed)
 
     bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
     y = problem.eta.copy()
@@ -137,24 +209,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         w_i = build_w(problem, y, ledger)
         step_integral = integrate_w_of_l(w_i, l_i, x_i, x_i + h)
         g_i = residual(problem, w_i, l_i, x_i, h, ledger)
-
-        if cfg.mode == "det_exact":
-            a_i = integrate_reference(g_i.detached(), tol=DET_EXACT_TOL)
-            ledger.charge_queries(problem.dim)
-        elif cfg.mode == "det_values":
-            a_i = integrate_deterministic(g_i, oracle_cfg).value
-        else:  # boosted: randomized or quantum_sim
-            oracle = integrate_randomized
-            if cfg.mode == "quantum_sim":
-                oracle = functools.partial(integrate_quantum_sim,
-                                           reference=quantum_reference(g_i.detached()))
-            est = boost_median(
-                lambda j: oracle(g_i, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j))),
-                k,
-            )
-            ledger.charge_queries(est.queries)
-            ledger.charge_repetitions(k)
-            a_i = est.value
+        a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > bound:

@@ -74,6 +74,18 @@ class TestRunSweep:
         assert rows[0].error.startswith("divergence:step=")
         assert math.isnan(rows[0].sup_error)
 
+    def test_stationary_start_becomes_flagged_row(self):
+        # logistic f(1) = 0; scalar-exponential f(1) = 1 still runs
+        cfg = ExperimentConfig(problems=("logistic", "scalar-exponential"), modes=("randomized",),
+                               n_values=(8,), eta=1.0)
+        flagged, ok = run_sweep(cfg)
+        assert flagged.error == "stationary-start"
+        assert math.isnan(flagged.sup_error)
+        # the start check is the one evaluation charged before the failure
+        assert (flagged.classical_evals, flagged.oracle_queries, flagged.repetitions) == (1, 0, 0)
+        assert ok.problem == "scalar-exponential" and ok.error == ""
+        assert math.isfinite(ok.sup_error)
+
     def test_wall_time_zero_without_timing(self):
         rows = run_sweep(ExperimentConfig(n_values=(8,)))
         assert rows[0].wall_time == 0.0
@@ -206,6 +218,14 @@ class TestMain:
     def test_bad_input_exits_2(self, args, capsys):
         assert main(args + ["--n-grid", "8"] if args[0] != "--n-grid" else args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_stationary_start_does_not_abort(self, tmp_path, capsys):
+        cfg_file = tmp_path / "sweep.ini"
+        cfg_file.write_text("[experiment]\nproblems = logistic\nn = 8, 16\n[problem]\neta = 1\n")
+        assert main(["--config", str(cfg_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(",stationary-start") for line in lines[1:])
 
     def test_order_report_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -23,6 +23,7 @@ from ivporacle import (
     quantum_reference,
     repetitions_for,
 )
+from ivporacle.quad import median_of
 from conftest import make_kink_integrand, reference_integral
 
 
@@ -208,6 +209,24 @@ class TestQuantumSimOracle:
         external = integrate_quantum_sim(g, cfg, reference=quantum_reference(g))
         np.testing.assert_array_equal(internal.value, external.value)
 
+    def test_emission_matches_scalar_generator_draws(self):
+        # The law drawn value by value with Generator.random/uniform, as a
+        # reference for the oracle's prefetched draws.
+        eps1 = 1e-2
+        ref = np.array([0.3, -1.7])
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for j in range(2):
+                if rng.random() < 0.75:
+                    noise = rng.uniform(-eps1, eps1)
+                else:
+                    magnitude = rng.uniform(eps1, 10.0 * eps1)
+                    noise = magnitude if rng.random() < 0.5 else -magnitude
+                expected.append(ref[j] + noise)
+            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref)
+            np.testing.assert_array_equal(est.value, expected)
+
     def test_seed_determinism(self):
         g = lambda u: u ** 2
         a = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8))
@@ -222,6 +241,32 @@ class TestQuantumSimOracle:
             est = integrate_quantum_sim(g, quant_cfg(1e-2, seed=seed), reference=ref)
             in_band += np.abs(est.value - ref) <= 1e-2
         assert np.all(in_band / 1000 >= 0.68) and np.all(in_band / 1000 <= 0.82)
+
+
+class TestBatchedRuns:
+    @pytest.mark.parametrize("oracle,make_cfg", [
+        (integrate_randomized, rand_cfg),
+        (integrate_quantum_sim, quant_cfg),
+    ])
+    def test_batch_equals_single_calls(self, rng, oracle, make_cfg):
+        g = make_kink_integrand(rng, 1, 1.0, dim=2)
+        seeds = [derive_seed(5, j) for j in range(6)]
+        batch = oracle(g, make_cfg(1e-2, r=1), seeds=seeds)
+        singles = [oracle(g, make_cfg(1e-2, r=1, seed=s)) for s in seeds]
+        assert batch.value.shape == (6, 2)
+        np.testing.assert_array_equal(batch.value, np.stack([e.value for e in singles]))
+        assert batch.queries == 6 * singles[0].queries
+        boosted = boost_median(lambda j: singles[j], 6)
+        np.testing.assert_array_equal(median_of(batch).value, boosted.value)
+        assert median_of(batch).queries == boosted.queries
+
+    @pytest.mark.parametrize("oracle,make_cfg", [
+        (integrate_randomized, rand_cfg),
+        (integrate_quantum_sim, quant_cfg),
+    ])
+    def test_empty_batch_rejected(self, oracle, make_cfg):
+        with pytest.raises(ContractViolationError):
+            oracle(lambda u: u, make_cfg(1e-2), seeds=[])
 
 
 class TestReferenceQuadratures:

@@ -3,7 +3,9 @@
 ``modified_euler`` below is an independently written specialization for
 r = 0; the general stepper must reproduce it bit for bit, which pins down
 the exact arithmetic of the update (no algebraically-equal-but-reordered
-variants allowed).
+variants allowed).  ``per_repetition_stepper`` covers the boosted modes at
+any r: it runs each of a step's k repetitions as its own single-call oracle,
+and the batched stepper must match it bit for bit and ledger for ledger.
 """
 
 import dataclasses
@@ -23,6 +25,8 @@ from ivporacle import (
     Trajectory,
     VecPolynomial,
     boost_median,
+    build_l,
+    build_w,
     catalog,
     derive_seed,
     eval_rhs,
@@ -31,8 +35,11 @@ from ivporacle import (
     integrate_quantum_sim,
     integrate_randomized,
     integrate_reference,
+    integrate_w_of_l,
+    local_derivatives,
     quantum_reference,
     repetitions_for,
+    residual,
     solve,
     sup_error,
 )
@@ -87,6 +94,43 @@ def modified_euler(problem, cfg):
         y = y + f0 * (h ** 1 / 1) + h ** (1.0 + rho) * a_i
         states.append(y.copy())
     return np.array(states)
+
+
+def per_repetition_stepper(problem, cfg):
+    """Boosted stepper with one single-call oracle per repetition.
+
+    Returns the grid states and the ledger; each run's integrand points are
+    charged through the residual, then its queries again by the step.
+    """
+    a, b = problem.interval
+    n = cfg.n
+    h = (b - a) / n
+    r, rho = problem.smoothness.r, problem.smoothness.rho
+    ledger = CostLedger()
+    eval_rhs(problem, problem.eta, ledger)
+    oracle_cfg = OracleConfig(kind=cfg.mode, eps1=h, smoothness=(r, rho),
+                              seed=cfg.seed, cost_constant=cfg.cost_constant)
+    k = repetitions_for(cfg.delta, n, cfg.c)
+    y = problem.eta.copy()
+    states = [y.copy()]
+    for i in range(n):
+        x_i = a + i * h
+        l_i = build_l(local_derivatives(problem, y, r + 1, ledger), x_i)
+        w_i = build_w(problem, y, ledger)
+        g = residual(problem, w_i, l_i, x_i, h, ledger)
+        if cfg.mode == "randomized":
+            run = lambda j: integrate_randomized(
+                g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)))
+        else:
+            ref = quantum_reference(g.detached())
+            run = lambda j: integrate_quantum_sim(
+                g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)), reference=ref)
+        est = boost_median(run, k)
+        ledger.charge_queries(est.queries)
+        ledger.charge_repetitions(k)
+        y = y + integrate_w_of_l(w_i, l_i, x_i, x_i + h) + h ** (r + rho + 1.0) * est.value
+        states.append(y.copy())
+    return np.array(states), ledger
 
 
 class TestSolveConfig:
@@ -279,6 +323,17 @@ class TestCostAccounting:
             traj = solve(p, SolveConfig(n=n, mode=mode, delta=0.1))
             assert traj.ledger.repetitions == n * k, mode
 
+    def test_randomized_charges_classical_and_queries(self):
+        # Each run's points are charged twice: as classical evaluations and as
+        # oracle queries.  Values as charged by the per-repetition stepper.
+        p = catalog("scalar-exponential", r=0)
+        n = 8
+        k = repetitions_for(0.1, n)
+        per_call = 16  # budget ceil(4 * 8 ** (2/3)): 8 one-node panels + 8 samples
+        traj = solve(p, SolveConfig(n=n, mode="randomized"))
+        assert traj.ledger.classical_evals == 1 + n * (2 + k * per_call) == 2449
+        assert traj.ledger.oracle_queries == n * k * per_call == 2432
+
     def test_quantum_queries_are_modeled_budget(self):
         p = catalog("scalar-exponential", r=0)
         n = 8
@@ -288,6 +343,25 @@ class TestCostAccounting:
         assert traj.ledger.oracle_queries == n * k * per_call
         # the reference quadrature inside the simulator is never charged
         assert traj.ledger.classical_evals == 1 + n * 2
+
+
+@pytest.mark.parametrize("mode", ["randomized", "quantum_sim"])
+@pytest.mark.parametrize("name,r", [
+    ("scalar-exponential", 1),
+    ("logistic", 1),
+    ("integration-reduction:cos-pi", 3),
+])
+def test_batched_boosting_matches_per_repetition_runs(mode, name, r):
+    """All k repetitions of a step in one oracle call: same states, same ledger."""
+    p = catalog(name, r=r)
+    configs = [SolveConfig(n=8, mode=mode, seed=seed) for seed in (0, 5)]
+    configs.append(SolveConfig(n=8, mode=mode, seed=3, delta=0.49, c=0.01))
+    assert repetitions_for(0.49, 8, 0.01) == 1
+    for cfg in configs:
+        states, ledger = per_repetition_stepper(p, cfg)
+        traj = solve(p, cfg)
+        np.testing.assert_array_equal(traj.endpoints, states)
+        assert traj.ledger == ledger
 
 
 @pytest.mark.parametrize("mode", MODES)
