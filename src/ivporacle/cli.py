@@ -166,7 +166,7 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run every sweep cell; divergence and a stationary start become flagged
-    rows, not a crash."""
+    rows with the ledger charged before the failure, not a crash."""
     # Built before the first cell, so a bad problem fails before any solve.
     problems = {(name, r, rho): catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
                 for name, r, rho in product(config.problems, config.r_values, config.rho_values)}
@@ -182,7 +182,6 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
         start = time.perf_counter()
         err_flag = ""
         err_value = math.nan
-        ledger = None
         try:
             traj = solve(problem, scfg)
             ledger = traj.ledger
@@ -190,18 +189,16 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
                 err_value = sup_error(traj, problem.reference, config.samples_per_step)
             else:
                 err_flag = "no-reference"
-        except DivergenceError as exc:
-            err_flag = f"divergence:step={exc.step}"
-        except StationaryStartError as exc:
-            err_flag = "stationary-start"
+        except (DivergenceError, StationaryStartError) as exc:
+            err_flag = (f"divergence:step={exc.step}" if isinstance(exc, DivergenceError)
+                        else "stationary-start")
             ledger = exc.ledger
         wall = time.perf_counter() - start if config.timing else 0.0
         rows.append(SweepRow(
             problem=problem_name, mode=mode, r=r, rho=rho, n=n, h=h, seed=seed,
             sup_error=err_value,
-            classical_evals=ledger.classical_evals if ledger else 0,
-            oracle_queries=ledger.oracle_queries if ledger else 0,
-            repetitions=ledger.repetitions if ledger else 0,
+            classical_evals=ledger.classical_evals, oracle_queries=ledger.oracle_queries,
+            repetitions=ledger.repetitions,
             wall_time=wall, error=err_flag,
         ))
     return rows

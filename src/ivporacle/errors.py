@@ -15,11 +15,13 @@ class UnknownProblemError(LookupError):
 
 
 class DivergenceError(RuntimeError):
-    """The numerical trajectory left the trust region during stepping."""
+    """The numerical trajectory left the trust region during stepping;
+    ``ledger`` holds what the solve had charged, the diverging step included."""
 
-    def __init__(self, step: int, norm: float):
+    def __init__(self, step: int, norm: float, ledger):
         self.step = step
         self.norm = norm
+        self.ledger = ledger
         super().__init__(f"trajectory diverged at step {step} (|y| ~ {norm:.3e})")
 
 

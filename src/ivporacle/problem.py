@@ -95,11 +95,20 @@ class CostLedger:
     """Running tally of the information cost of a computation.
 
     ``classical_evals`` counts plain evaluations of ``f`` or its partial
-    derivatives.  ``oracle_queries`` counts integrand evaluations charged by
-    the randomized and simulated-quantum integral oracles (for the simulated
-    quantum oracle this is the modeled query budget, not the node count of
-    the internal reference).  ``repetitions`` counts boosting repetitions.
-    Counters only ever increase.
+    derivatives, ``oracle_queries`` queries to an integral functional or
+    oracle, and ``repetitions`` boosting repetitions.  Counters only ever
+    increase.  A solve charges each evaluation once: the start check
+    ``f(eta)`` and, per step, ``f(y_i)`` and each distinct partial up to
+    order ``r`` are classical evaluations; the step's correction goes to one
+    counter by mode:
+
+    * ``det_exact``: ``dim`` queries (one exact functional per component);
+    * ``det_values``: the quadrature's points, as classical evaluations;
+    * ``randomized``: ``k`` x the per-call points, as queries;
+    * ``quantum_sim``: ``k`` x the modeled budget, as queries (never the
+      simulator's internal reference nodes);
+
+    and each boosted step adds ``k`` repetitions.
     """
 
     classical_evals: int = 0

@@ -27,7 +27,8 @@ class with ``r`` derivatives and a ``rho``-Holder top derivative:
 All oracles are deterministic functions of ``(g, config)``; the randomized
 kinds draw from a generator seeded by ``config.seed``.  Integrands are
 callables mapping a float array of shape ``(m,)`` to values of shape
-``(m,)`` or ``(dim, m)``.
+``(m,)`` or ``(dim, m)``.  Oracles charge nothing themselves: each reports
+its price in ``IntegralEstimate.queries``, and the caller charges it.
 
 Boosting makes ``k`` independent runs of a randomized kind on one integrand.
 Both take ``seeds=`` to make them as one batch: each run draws from its own
@@ -307,8 +308,7 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
     runs = _runs(cfg, seeds)
     budget = _budget(cfg, 1.0)
     if reference is None:
-        base = g.detached() if hasattr(g, "detached") else g
-        reference = quantum_reference(base)
+        reference = quantum_reference(g)
     reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
     eps = cfg.eps1
     values = []

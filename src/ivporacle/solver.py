@@ -3,8 +3,8 @@
 One solve on a uniform grid ``x_i = a + i h`` repeats, from the current state
 ``y_i``:
 
-1. build the local Taylor piece ``l_i`` (degree ``r+1``) and the Taylor map
-   ``w_i`` of ``f`` around ``y_i``;
+1. fetch ``f`` and its partials at ``y_i`` once into the Taylor map ``w_i``,
+   and derive from it the local Taylor piece ``l_i`` (degree ``r+1``);
 2. integrate ``w_i(l_i(t))`` over the step exactly (polynomial calculus);
 3. estimate ``A_i ~ int_0^1 g_i(u) du`` for the scaled residual ``g_i`` with
    the mode's integral oracle at per-step accuracy ``eps1 = h``, boosted by a
@@ -13,6 +13,8 @@ One solve on a uniform grid ``x_i = a + i h`` repeats, from the current state
 
 The continuous output is the piecewise polynomial made of the ``l_i``; its
 distance to the true solution contracts at order ``r + rho + 1`` in ``h``.
+Each corrector charges its oracle's reported price to one counter, by the
+rule in :class:`~ivporacle.problem.CostLedger`.
 """
 
 from __future__ import annotations
@@ -123,24 +125,21 @@ class _Run(NamedTuple):
 
 def _det_exact(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
     run.ledger.charge_queries(g.dim)
-    return integrate_reference(g.detached(), tol=DET_EXACT_TOL)
+    return integrate_reference(g, tol=DET_EXACT_TOL)
 
 
 def _det_values(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    return integrate_deterministic(g, run.oracle).value
+    est = integrate_deterministic(g, run.oracle)
+    run.ledger.charge_classical(est.queries)
+    return est.value
 
 
 def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    # The k runs share one evaluation of the panel nodes, so the residual
-    # cannot count them; each run's points are charged as if made alone.
-    est = integrate_randomized(g.detached(), run.oracle, seeds=run.seeds(i))
-    run.ledger.charge_classical(est.queries)
-    return _boosted(est, run)
+    return _boosted(integrate_randomized(g, run.oracle, seeds=run.seeds(i)), run)
 
 
 def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g.detached()),
-                                seeds=run.seeds(i))
+    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g), seeds=run.seeds(i))
     return _boosted(est, run)
 
 
@@ -176,7 +175,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     Raises :class:`DivergenceError` if the state norm exceeds
     ``1e6 (1 + |eta|)``, and :class:`StationaryStartError` if ``f(eta) = 0``
     (the standing assumption, checked here where the first evaluation
-    happens anyway).
+    happens anyway).  Both carry the ledger charged so far.
     """
     a, b = problem.interval
     n = cfg.n
@@ -204,16 +203,15 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     endpoints = [y.copy()]
     for i in range(n):
         x_i = a + i * h
-        derivs = local_derivatives(problem, y, r + 1, ledger)
-        l_i = build_l(derivs, x_i)
         w_i = build_w(problem, y, ledger)
+        l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         step_integral = integrate_w_of_l(w_i, l_i, x_i, x_i + h)
-        g_i = residual(problem, w_i, l_i, x_i, h, ledger)
+        g_i = residual(problem, w_i, l_i, x_i, h)
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > bound:
-            raise DivergenceError(step=i, norm=float(np.max(np.abs(y))))
+            raise DivergenceError(step=i, norm=float(np.max(np.abs(y))), ledger=ledger)
         pieces.append(l_i)
         endpoints.append(y.copy())
 

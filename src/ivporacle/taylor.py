@@ -1,11 +1,11 @@
 """Local Taylor machinery for one solver step.
 
 Per step the solver builds, from derivative-oracle data at the current state
-``y_i``:
+``y_i``, fetched once:
 
-* ``l`` -- the degree ``r+1`` Taylor polynomial of the local solution through
-  ``(x_i, y_i)``,
 * ``w`` -- the order ``r`` Taylor expansion of ``f`` around ``y_i``,
+* ``l`` -- the degree ``r+1`` Taylor polynomial of the local solution through
+  ``(x_i, y_i)``, with its derivatives read off ``w``,
 * the exact value of ``int w(l(t)) dt`` over the step (polynomial calculus,
   no sampling), and
 * the scaled residual ``g(u) = h^-(r+rho) * (f(l(x_i+u h)) - w(l(x_i+u h)))``
@@ -107,35 +107,33 @@ def _derivative_tensor(problem: IVPProblem, y: np.ndarray, order: int,
     return tensor
 
 
-def local_derivatives(problem: IVPProblem, y: np.ndarray, upto: int,
-                      ledger: Optional[CostLedger] = None) -> list[np.ndarray]:
-    """Time derivatives of the local solution through ``y``.
+def local_derivatives(w: TaylorMap, upto: int) -> list[np.ndarray]:
+    """Time derivatives of the local solution through ``w.center``.
 
     Returns ``[z(x_i), z'(x_i), ..., z^(upto)(x_i)]`` for the solution of
-    ``z' = f(z)`` restarted at ``y``, obtained by differentiating the ODE:
+    ``z' = f(z)`` restarted at ``w.center``, by differentiating the ODE:
 
     ``z' = f``, ``z'' = f' z'``, ``z''' = f''(z', z') + f' z''``,
     ``z'''' = f'''(z', z', z') + 3 f''(z', z'') + f' z'''``.
 
-    Needs partials of ``f`` up to order ``upto - 1``, so ``upto <= r + 1``.
+    The partials are read off the map, ``f^(j) = j! w.tensors[j]``, so no
+    evaluation is made.  Needs ``upto <= w.order + 1``.
     """
-    r = problem.smoothness.r
-    if not 0 <= upto <= r + 1:
-        raise ContractViolationError(f"upto must lie in [0, r+1] = [0, {r + 1}], got {upto}")
-    y = np.asarray(y, dtype=float)
-    out = [y.copy()]
+    if not 0 <= upto <= w.order + 1:
+        raise ContractViolationError(f"upto must lie in [0, r+1] = [0, {w.order + 1}], got {upto}")
+    out = [w.center.copy()]
     if upto == 0:
         return out
-    d1 = eval_rhs(problem, y, ledger)
+    d1 = w.tensors[0]
     out.append(d1)
     if upto >= 2:
-        f1 = _derivative_tensor(problem, y, 1, ledger)
+        f1 = w.tensors[1]
         out.append(f1 @ d1)
     if upto >= 3:
-        f2 = _derivative_tensor(problem, y, 2, ledger)
+        f2 = 2.0 * w.tensors[2]
         out.append(np.einsum("ijk,j,k->i", f2, d1, d1) + f1 @ out[2])
     if upto >= 4:
-        f3 = _derivative_tensor(problem, y, 3, ledger)
+        f3 = 6.0 * w.tensors[3]
         out.append(
             np.einsum("ijkl,j,k,l->i", f3, d1, d1, d1)
             + 3.0 * np.einsum("ijk,j,k->i", f2, d1, out[2])
@@ -198,7 +196,8 @@ class TaylorMap:
 
 
 def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = None) -> TaylorMap:
-    """Order ``r`` Taylor map of the right-hand side around ``y``."""
+    """Order ``r`` Taylor map of ``f`` around ``y``: the one place a step
+    fetches (and charges) ``f`` and its partials, each distinct one once."""
     r = problem.smoothness.r
     y = np.asarray(y, dtype=float)
     tensors = [eval_rhs(problem, y, ledger)]
@@ -267,10 +266,8 @@ class ResidualIntegrand:
     """Scaled step residual ``g(u)`` on the unit interval.
 
     ``g(u) = scale * (f(l(x_i + u h)) - w(l(x_i + u h)))`` with
-    ``scale = h^-(r + rho)``.  Each evaluation point charges one classical
-    ``f`` evaluation to the attached ledger; the ``w`` part reuses the stored
-    tensors at no cost.  ``detached()`` returns a charge-free view for
-    simulation-internal reference quadratures.
+    ``scale = h^-(r + rho)``.  Evaluating it charges nothing: the oracle that
+    integrates it reports its price, and the solver charges that once.
     """
 
     problem: IVPProblem
@@ -278,7 +275,6 @@ class ResidualIntegrand:
     l: VecPolynomial
     x_i: float
     h: float
-    ledger: Optional[CostLedger] = None
 
     def __post_init__(self):
         if not self.h > 0:
@@ -292,14 +288,10 @@ class ResidualIntegrand:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         pts = self.l.eval_offset(u * self.h)
-        fv = eval_rhs(self.problem, pts, self.ledger)
+        fv = eval_rhs(self.problem, pts)
         return (fv - self.w(pts)) * self.scale
 
-    def detached(self) -> "ResidualIntegrand":
-        return dataclasses.replace(self, ledger=None)
 
-
-def residual(problem: IVPProblem, w: TaylorMap, l: VecPolynomial, x_i: float, h: float,
-             ledger: Optional[CostLedger] = None) -> ResidualIntegrand:
+def residual(problem: IVPProblem, w: TaylorMap, l: VecPolynomial, x_i: float, h: float) -> ResidualIntegrand:
     """Residual integrand for one step; see :class:`ResidualIntegrand`."""
-    return ResidualIntegrand(problem=problem, w=w, l=l, x_i=float(x_i), h=float(h), ledger=ledger)
+    return ResidualIntegrand(problem=problem, w=w, l=l, x_i=float(x_i), h=float(h))

@@ -60,8 +60,8 @@ def test_criterion_1_step_identity():
         y = p.eta + rng.uniform(-0.05, 0.05, size=p.dim)
         x_i = p.interval[0] + rng.uniform(0.0, 0.2)
         h = rng.uniform(0.02, 0.2)
-        l = build_l(local_derivatives(p, y, r + 1), x_i)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, r + 1), x_i)
         lhs = y + integrate_w_of_l(w, l, x_i, x_i + h) \
             + h ** (r + rho + 1.0) * reference_integral(residual(p, w, l, x_i, h))
         rhs = y + h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
@@ -109,8 +109,8 @@ def test_criterion_3_residual_nullity():
         y = p.eta.copy()
         for i in range(n):
             x_i = a + i * h
-            l = build_l(local_derivatives(p, y, r + 1), x_i)
             w = build_w(p, y)
+            l = build_l(local_derivatives(w, r + 1), x_i)
             target = reference_integral(residual(p, w, l, x_i, h))
             worst_target = max(worst_target, float(np.max(np.abs(target))))
             y = y + integrate_w_of_l(w, l, x_i, x_i + h)  # A_i dropped entirely

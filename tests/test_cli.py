@@ -71,8 +71,11 @@ class TestRunSweep:
                                n_values=(64,), interval=(0.0, 2.0))
         rows = run_sweep(cfg)
         assert len(rows) == 1
-        assert rows[0].error.startswith("divergence:step=")
+        assert rows[0].error == "divergence:step=33"
         assert math.isnan(rows[0].sup_error)
+        # charged up to the diverging step: 1 start check + 34 steps of one f
+        # value, one f' and one det_exact functional
+        assert (rows[0].classical_evals, rows[0].oracle_queries, rows[0].repetitions) == (69, 34, 0)
 
     def test_stationary_start_becomes_flagged_row(self):
         # logistic f(1) = 0; scalar-exponential f(1) = 1 still runs

@@ -52,26 +52,26 @@ class TestVecPolynomial:
 class TestLocalDerivatives:
     def test_linear_rhs_all_derivatives_equal(self):
         p = catalog("scalar-exponential", r=1, eta=2.0)
-        derivs = local_derivatives(p, np.array([2.0]), 2)
+        derivs = local_derivatives(build_w(p, np.array([2.0])), 2)
         np.testing.assert_allclose(np.concatenate(derivs), [2.0, 2.0, 2.0])
 
     def test_quadratic_rhs_hand_recurrence(self):
         # z' = z^2 at z = 1: z'' = 2 z z' = 2
         p = catalog("scalar-quadratic", r=1)
-        derivs = local_derivatives(p, np.array([1.0]), 2)
+        derivs = local_derivatives(build_w(p, np.array([1.0])), 2)
         np.testing.assert_allclose(np.concatenate(derivs), [1.0, 1.0, 2.0])
 
     def test_quadratic_rhs_factorial_chain(self):
         # exact solution 1/(1-t) has k-th derivative k! at t=0
         p = catalog("scalar-quadratic", r=3)
-        derivs = local_derivatives(p, np.array([1.0]), 4)
+        derivs = local_derivatives(build_w(p, np.array([1.0])), 4)
         np.testing.assert_allclose(np.concatenate(derivs), [1.0, 1.0, 2.0, 6.0, 24.0])
 
     def test_two_dimensional_chain(self):
         # u' = 1, v' = cos(pi u) at u = 0.25: higher v-derivatives walk the
         # cos/sin ladder with pi factors
         p = catalog("integration-reduction:cos-pi", r=3, eta=(0.25, 0.0))
-        derivs = local_derivatives(p, p.eta, 4)
+        derivs = local_derivatives(build_w(p, p.eta), 4)
         s2 = np.sqrt(2.0) / 2.0
         pi = np.pi
         expected = [
@@ -86,20 +86,23 @@ class TestLocalDerivatives:
 
     def test_upto_zero_returns_point(self):
         p = catalog("logistic")
-        derivs = local_derivatives(p, np.array([0.3]), 0)
+        derivs = local_derivatives(build_w(p, np.array([0.3])), 0)
         assert len(derivs) == 1
         np.testing.assert_allclose(derivs[0], [0.3])
 
     def test_upto_beyond_r_plus_one_rejected(self):
         p = catalog("scalar-exponential", r=1)
         with pytest.raises(ContractViolationError):
-            local_derivatives(p, np.array([1.0]), 3)
+            local_derivatives(build_w(p, np.array([1.0])), 3)
 
     def test_each_partial_fetched_once(self):
-        # dim 1, upto 3: one f value, one f', one f''
+        # dim 1, r 2: build_w fetches one f value, one f', one f''; the
+        # derivatives are read off the map without a further fetch
         p = catalog("scalar-quadratic", r=2)
         ledger = CostLedger()
-        local_derivatives(p, np.array([1.0]), 3, ledger)
+        w = build_w(p, np.array([1.0]), ledger)
+        assert ledger.classical_evals == 3
+        local_derivatives(w, 3)
         assert ledger.classical_evals == 3
 
 
@@ -188,9 +191,8 @@ class TestIntegrateWofL:
         p = catalog(name, r=r)
         y = p.eta + 0.1
         x_i, h = p.interval[0], 0.37
-        derivs = local_derivatives(p, y, r + 1)
-        l = build_l(derivs, x_i)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, r + 1), x_i)
         exact = integrate_w_of_l(w, l, x_i, x_i + h)
         brute = h * reference_integral(lambda u: w(l.eval_offset(u * h)))
         np.testing.assert_allclose(exact, brute, atol=1e-13)
@@ -200,8 +202,8 @@ class TestResidual:
     def test_scaled_gap_is_identity_for_linear_f_at_r0(self):
         p = catalog("scalar-exponential", r=0)
         y = np.array([1.0])
-        l = build_l(local_derivatives(p, y, 1), 0.0)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, 1), 0.0)
         g = residual(p, w, l, 0.0, 0.25)
         np.testing.assert_allclose(g(np.array([0.0, 0.25, 1.0]))[0], [0.0, 0.25, 1.0], atol=1e-15)
 
@@ -211,37 +213,24 @@ class TestResidual:
         # once w carries every nonzero derivative of f, the gap vanishes
         p = catalog(name, r=r)
         y = p.eta + 0.05
-        l = build_l(local_derivatives(p, y, r + 1), 0.0)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, r + 1), 0.0)
         g = residual(p, w, l, 0.0, 0.125)
         assert np.max(np.abs(g(np.linspace(0.0, 1.0, 9)))) < 1e-12
 
     def test_scale_exponent(self):
         p = catalog("logistic", r=1, rho=0.5)
         y = np.array([0.3])
-        l = build_l(local_derivatives(p, y, 2), 0.0)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, 2), 0.0)
         g = residual(p, w, l, 0.0, 0.01)
         assert g.scale == pytest.approx(0.01 ** (-1.5))
-
-    def test_ledger_charged_per_point_and_detached_is_free(self):
-        p = catalog("scalar-quadratic", r=0)
-        y = np.array([1.0])
-        ledger = CostLedger()
-        l = build_l(local_derivatives(p, y, 1), 0.0)
-        w = build_w(p, y)
-        before = ledger.classical_evals
-        g = residual(p, w, l, 0.0, 0.1, ledger)
-        g(np.linspace(0.0, 1.0, 7))
-        assert ledger.classical_evals == before + 7
-        g.detached()(np.linspace(0.0, 1.0, 7))
-        assert ledger.classical_evals == before + 7
 
     def test_nonpositive_step_rejected(self):
         p = catalog("scalar-exponential", r=0)
         y = np.array([1.0])
-        l = build_l(local_derivatives(p, y, 1), 0.0)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, 1), 0.0)
         with pytest.raises(ContractViolationError):
             residual(p, w, l, 0.0, 0.0)
 
@@ -261,9 +250,8 @@ def test_step_identity_against_reference(name, r, rho):
         y = p.eta + rng.uniform(-0.05, 0.05, size=p.dim)
         x_i = p.interval[0] + rng.uniform(0.0, 0.1)
         h = rng.uniform(0.05, 0.2)
-        derivs = local_derivatives(p, y, r + 1)
-        l = build_l(derivs, x_i)
         w = build_w(p, y)
+        l = build_l(local_derivatives(w, r + 1), x_i)
         taylor_part = integrate_w_of_l(w, l, x_i, x_i + h)
         g = residual(p, w, l, x_i, h)
         lhs = taylor_part + h ** (r + rho + 1.0) * reference_integral(g)
