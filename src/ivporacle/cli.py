@@ -68,13 +68,6 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _interval(text: str) -> tuple[float, float]:
-    bounds = _list_of(float)(text)
-    if len(bounds) != 2:
-        raise ValueError("interval must be two numbers")
-    return bounds
-
-
 class Setting(NamedTuple):
     """Where a settable field is read from, and the converter from text that
     the INI file and the flag share."""
@@ -120,7 +113,7 @@ class ExperimentConfig:
     cost_constant: float = _setting(4.0, "experiment", "cost_constant", None, float)
     c: float = _setting(3.0, "experiment", "c", None, float)
     eta: Optional[float] = _setting(None, "problem", "eta", None, float)
-    interval: Optional[tuple[float, float]] = _setting(None, "problem", "interval", None, _interval)
+    interval: Optional[tuple[float, float]] = _setting(None, "problem", "interval", None, _list_of(float))
 
     def __post_init__(self):
         for mode in self.modes:

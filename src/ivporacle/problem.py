@@ -1,11 +1,11 @@
 """Problem definitions for autonomous initial value problems.
 
 A problem is the ODE ``z'(t) = f(z(t))`` on ``[a, b]`` with ``z(a) = eta``,
-together with a smoothness declaration for ``f`` and an oracle that serves
-values and partial derivatives of ``f`` up to the declared order.  Everything
-downstream (local Taylor models, integral oracles, the stepper) talks to the
-right-hand side exclusively through that oracle, and all evaluation costs are
-tallied on a :class:`CostLedger`.
+together with the declared smoothness class ``(r, rho)`` of ``f`` and an
+oracle that serves values and partial derivatives of ``f`` up to order ``r``.
+Everything downstream (local Taylor models, integral oracles, the stepper)
+talks to the right-hand side exclusively through that oracle, and all
+evaluation costs are tallied on a :class:`CostLedger`.
 """
 
 from __future__ import annotations
@@ -34,30 +34,17 @@ MAX_ORDER = 3
 
 @dataclasses.dataclass(frozen=True)
 class HolderSmoothness:
-    """Declared regularity class of a right-hand side.
+    """Declared smoothness class ``(r, rho)`` of a right-hand side or integrand.
 
-    Parameters
-    ----------
-    r : int
-        Number of bounded derivatives, ``0 <= r <= 3``.
-    rho : float
-        Holder exponent of the ``r``-th derivative, in ``(0, 1]``.  For
-        ``r = 0`` only ``rho = 1`` (plain Lipschitz continuity) is admitted.
-    deriv_bounds : tuple of float
-        Bounds ``D_0, ..., D_r`` on the sup norms of ``f`` and its partial
-        derivatives over the relevant compact enclosure.  All positive.
-    holder_const : float
-        Holder constant of the ``r``-th derivative (max norm), positive.
-    lipschitz : float
-        Lipschitz constant of ``f`` itself.  Must equal ``holder_const``
-        when ``r = 0`` and must not exceed ``D_1`` when ``r >= 1``.
+    ``f`` has ``r`` bounded derivatives, ``0 <= r <= 3``, and its ``r``-th
+    derivative is ``rho``-Holder, ``rho`` in ``(0, 1]``; for ``r = 0`` only
+    ``rho = 1`` (plain Lipschitz continuity) is admitted.  Every cost and
+    error exponent depends on the class only through ``r + rho``, so no
+    constants are carried.  This is the one check of the class.
     """
 
     r: int
     rho: float
-    deriv_bounds: tuple[float, ...]
-    holder_const: float
-    lipschitz: float
 
     def __post_init__(self):
         if not isinstance(self.r, int) or not 0 <= self.r <= MAX_ORDER:
@@ -66,23 +53,7 @@ class HolderSmoothness:
             raise ContractViolationError(f"rho must lie in (0, 1], got {self.rho}")
         if self.r == 0 and self.rho != 1.0:
             raise ContractViolationError("r = 0 requires rho = 1")
-        bounds = tuple(float(b) for b in self.deriv_bounds)
-        object.__setattr__(self, "deriv_bounds", bounds)
-        if len(bounds) != self.r + 1:
-            raise ContractViolationError(
-                f"deriv_bounds must list D_0..D_{self.r} ({self.r + 1} values), got {len(bounds)}"
-            )
-        if any(b <= 0 for b in bounds):
-            raise ContractViolationError("all derivative bounds must be positive")
-        if self.holder_const <= 0:
-            raise ContractViolationError("holder_const must be positive")
-        if self.lipschitz <= 0:
-            raise ContractViolationError("lipschitz must be positive")
-        if self.r == 0:
-            if self.lipschitz != self.holder_const:
-                raise ContractViolationError("for r = 0 the Lipschitz and Holder constants coincide")
-        elif self.lipschitz > self.deriv_bounds[1]:
-            raise ContractViolationError("lipschitz constant may not exceed the first derivative bound")
+        object.__setattr__(self, "rho", float(self.rho))
 
     @property
     def order(self) -> float:
@@ -161,6 +132,8 @@ class IVPProblem:
         if self.dim < 1:
             raise ContractViolationError("dim must be at least 1")
         a, b = float(self.interval[0]), float(self.interval[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"interval ends must be finite, got ({a}, {b})")
         if not a < b:
             raise ContractViolationError(f"interval must satisfy a < b, got ({a}, {b})")
         object.__setattr__(self, "interval", (a, b))
@@ -245,22 +218,8 @@ def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = 
 # catalog
 
 
-def _smoothness_from_table(r: int, rho: float, bounds: Sequence[float], holder: Sequence[float],
-                           lipschitz: float) -> HolderSmoothness:
-    # bounds/holder are tabulated per derivative order for the entry's enclosure;
-    # zero entries get a small positive floor so the declaration stays admissible.
-    floor = 1e-3
-    d = tuple(max(float(bounds[i]), floor) for i in range(r + 1))
-    # holder[r] is a Lipschitz constant; on an enclosure of diameter <= 3 it
-    # converts to a rho-Holder constant via the factor diam^(1-rho).
-    h = max(float(holder[r]) * 3.0 ** (1.0 - rho), floor)
-    lip = h if r == 0 else min(float(lipschitz), d[1])
-    return HolderSmoothness(r=r, rho=float(rho), deriv_bounds=d, holder_const=h, lipschitz=lip)
-
-
-def _scalar_exponential(r: int, rho: float, eta: float, interval: tuple[float, float]) -> IVPProblem:
-    # z' = z.  Enclosure for the default setup (eta=1 on [0,1]) is [1, e],
-    # padded to [0.5, 3].
+def _scalar_exponential(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
+    # z' = z.
     def oracle(y, component, alpha):
         order = sum(alpha)
         if order == 0:
@@ -270,20 +229,17 @@ def _scalar_exponential(r: int, rho: float, eta: float, interval: tuple[float, f
         return np.zeros_like(y[0])
 
     a = interval[0]
-    eta_f = float(eta)
 
     def reference(t):
-        return np.array([eta_f * math.exp(t - a)])
+        return np.array([eta * math.exp(t - a)])
 
-    smooth = _smoothness_from_table(r, rho, bounds=[3.0, 1.0, 0.0, 0.0], holder=[1.0, 0.0, 0.0, 0.0],
-                                    lipschitz=1.0)
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta_f]), rhs_oracle=oracle,
+    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
                       smoothness=smooth, reference=reference, name="scalar-exponential")
 
 
-def _scalar_quadratic(r: int, rho: float, eta: float, interval: tuple[float, float]) -> IVPProblem:
+def _scalar_quadratic(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
     # z' = z^2 with blow-up at t = a + 1/eta; the default [0, 0.5] keeps the
-    # solution inside [1, 2], padded to [0.5, 2.5].
+    # solution inside [1, 2].
     def oracle(y, component, alpha):
         order = sum(alpha)
         if order == 0:
@@ -295,18 +251,15 @@ def _scalar_quadratic(r: int, rho: float, eta: float, interval: tuple[float, flo
         return np.zeros_like(y[0])
 
     a = interval[0]
-    eta_f = float(eta)
 
     def reference(t):
-        return np.array([eta_f / (1.0 - eta_f * (t - a))])
+        return np.array([eta / (1.0 - eta * (t - a))])
 
-    smooth = _smoothness_from_table(r, rho, bounds=[6.25, 5.0, 2.0, 0.0], holder=[5.0, 2.0, 0.0, 0.0],
-                                    lipschitz=5.0)
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta_f]), rhs_oracle=oracle,
+    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
                       smoothness=smooth, reference=reference, name="scalar-quadratic")
 
 
-def _logistic(r: int, rho: float, eta: float, interval: tuple[float, float]) -> IVPProblem:
+def _logistic(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
     # z' = z(1 - z); polynomial of degree 2, so the residual vanishes for r >= 2.
     def oracle(y, component, alpha):
         order = sum(alpha)
@@ -319,17 +272,14 @@ def _logistic(r: int, rho: float, eta: float, interval: tuple[float, float]) -> 
         return np.zeros_like(y[0])
 
     a = interval[0]
-    eta_f = float(eta)
-    if eta_f == 0.0:
+    if eta == 0.0:
         raise DomainError("logistic eta must be nonzero")
-    c = 1.0 / eta_f - 1.0
+    c = 1.0 / eta - 1.0
 
     def reference(t):
         return np.array([1.0 / (1.0 + c * math.exp(-(t - a)))])
 
-    smooth = _smoothness_from_table(r, rho, bounds=[0.25, 1.0, 2.0, 0.0], holder=[1.0, 2.0, 0.0, 0.0],
-                                    lipschitz=1.0)
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta_f]), rhs_oracle=oracle,
+    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
                       smoothness=smooth, reference=reference, name="logistic")
 
 
@@ -338,14 +288,11 @@ class GBundle:
     """Scalar integrand ``g`` with its derivatives and antiderivative.
 
     ``derivs[k]`` evaluates ``g^(k)``; ``antideriv`` evaluates
-    ``G(t) = int_0^t g``.  ``bounds[k]`` bounds ``|g^(k)|`` on [0, 1] and
-    ``holder[k]`` is the Lipschitz constant of ``g^(k)`` there.
+    ``G(t) = int_0^t g``.
     """
 
     derivs: tuple[Callable, ...]
     antideriv: Callable
-    bounds: tuple[float, ...]
-    holder: tuple[float, ...]
     label: str = "custom-g"
 
 
@@ -359,8 +306,6 @@ def _cos_pi_bundle() -> GBundle:
             lambda u: pi ** 3 * np.sin(pi * u),
         ),
         antideriv=lambda t: np.sin(pi * t) / pi,
-        bounds=(1.0, math.pi, math.pi ** 2, math.pi ** 3),
-        holder=(math.pi, math.pi ** 2, math.pi ** 3, math.pi ** 4),
         label="cos-pi",
     )
 
@@ -368,13 +313,13 @@ def _cos_pi_bundle() -> GBundle:
 _G_REGISTRY: dict[str, Callable[[], GBundle]] = {"cos-pi": _cos_pi_bundle}
 
 
-def _integration_reduction(r: int, rho: float, eta, interval: tuple[float, float],
-                           g: Optional[GBundle]) -> IVPProblem:
+def _integration_reduction(smooth: HolderSmoothness, eta: tuple[float, float],
+                           interval: tuple[float, float], g: Optional[GBundle]) -> IVPProblem:
     # u' = 1, v' = g(u): solving this IVP computes int_0^t g, which makes the
     # solver directly comparable against plain quadrature.
     bundle = g if g is not None else _cos_pi_bundle()
-    if len(bundle.derivs) < r + 1:
-        raise ContractViolationError(f"g bundle provides {len(bundle.derivs)} derivatives, need r+1 = {r + 1}")
+    if len(bundle.derivs) < smooth.r + 1:
+        raise ContractViolationError(f"g bundle has {len(bundle.derivs)} derivatives, need {smooth.r + 1}")
 
     derivs = bundle.derivs
 
@@ -390,30 +335,34 @@ def _integration_reduction(r: int, rho: float, eta, interval: tuple[float, float
 
     a = interval[0]
     anti = bundle.antideriv
-    eta_vec = np.zeros(2) if eta is None else np.asarray(eta, dtype=float).reshape(-1)
-    if eta_vec.shape != (2,):
-        raise ContractViolationError(f"eta must have 2 components, got {eta_vec.size}")
-    u0, v0 = float(eta_vec[0]), float(eta_vec[1])
+    u0, v0 = eta
 
     def reference(t):
         return np.array([u0 + (t - a), v0 + anti(u0 + (t - a)) - anti(u0)])
 
-    pad = lambda seq: tuple(seq) + (0.0,) * (4 - len(seq))
-    bounds = pad(bundle.bounds)
-    bounds = (max(1.0, bounds[0]),) + bounds[1:]
-    smooth = _smoothness_from_table(r, rho, bounds=bounds, holder=pad(bundle.holder),
-                                    lipschitz=bounds[1] if bounds[1] > 0 else bundle.holder[0])
-    return IVPProblem(dim=2, interval=interval, eta=eta_vec, rhs_oracle=oracle,
+    return IVPProblem(dim=2, interval=interval, eta=np.array(eta), rhs_oracle=oracle,
                       smoothness=smooth, reference=reference,
                       name=f"integration-reduction:{bundle.label}")
 
 
+#: Default ``(eta, interval)`` per entry; ``eta`` lists one value per component.
 _DEFAULTS = {
-    "scalar-exponential": (1.0, (0.0, 1.0)),
-    "scalar-quadratic": (1.0, (0.0, 0.5)),
-    "logistic": (0.2, (0.0, 1.0)),
-    "integration-reduction": (None, (0.0, 1.0)),
+    "scalar-exponential": ((1.0,), (0.0, 1.0)),
+    "scalar-quadratic": ((1.0,), (0.0, 0.5)),
+    "logistic": ((0.2,), (0.0, 1.0)),
+    "integration-reduction": ((0.0, 0.0), (0.0, 1.0)),
 }
+
+
+def _numbers(name: str, value, count: int) -> tuple[float, ...]:
+    """``value`` as ``count`` floats; a scalar counts as one."""
+    try:
+        v = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"{name} must be {count} number(s), got {value!r}") from None
+    if v.size != count:
+        raise ContractViolationError(f"{name} must be {count} number(s), got {v.size}")
+    return tuple(float(x) for x in v)
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -435,29 +384,26 @@ def catalog(
     ``logistic`` or ``integration-reduction``; the latter accepts an optional
     ``g`` bundle (default: ``cos(pi u)``) and may be written
     ``integration-reduction:cos-pi`` to pick a registered integrand by key.
-    ``r``/``rho`` select the declared smoothness the solver should exploit;
-    ``eta`` and ``interval`` override the entry defaults.
+    ``r``/``rho`` declare the class ``(r, rho)`` the solver should exploit;
+    ``eta`` (a number, or one value per component) and ``interval`` (two
+    numbers) override the entry defaults.
     """
-    if not isinstance(r, int) or not 0 <= r <= MAX_ORDER:
-        raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {r}")
-    base = name
-    g_key = None
-    if ":" in name:
-        base, g_key = name.split(":", 1)
+    smooth = HolderSmoothness(r=r, rho=rho)
+    base, g_key = name.split(":", 1) if ":" in name else (name, None)
     if base not in _DEFAULTS:
         raise UnknownProblemError(f"unknown problem {name!r}; known: {', '.join(_DEFAULTS)}")
     default_eta, default_interval = _DEFAULTS[base]
-    eta = default_eta if eta is None else eta
-    interval = default_interval if interval is None else (float(interval[0]), float(interval[1]))
+    eta = _numbers("eta", default_eta if eta is None else eta, len(default_eta))
+    interval = _numbers("interval", default_interval if interval is None else interval, 2)
 
     if base == "scalar-exponential":
-        return _scalar_exponential(r, rho, eta, interval)
+        return _scalar_exponential(smooth, eta[0], interval)
     if base == "scalar-quadratic":
-        return _scalar_quadratic(r, rho, eta, interval)
+        return _scalar_quadratic(smooth, eta[0], interval)
     if base == "logistic":
-        return _logistic(r, rho, eta, interval)
+        return _logistic(smooth, eta[0], interval)
     if g_key is not None:
         if g_key not in _G_REGISTRY:
             raise UnknownProblemError(f"unknown integrand key {g_key!r}; known: {', '.join(_G_REGISTRY)}")
         g = _G_REGISTRY[g_key]()
-    return _integration_reduction(r, rho, eta, interval, g)
+    return _integration_reduction(smooth, eta, interval, g)

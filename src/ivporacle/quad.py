@@ -49,6 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
+from .problem import HolderSmoothness
 
 __all__ = [
     "KINDS",
@@ -73,7 +74,7 @@ QUANTUM_REFERENCE_NODES = 10_000
 
 @dataclasses.dataclass(frozen=True)
 class IntegralEstimate:
-    """One oracle output: the estimate, its price, and its target accuracy.
+    """One oracle output: the estimate and its price.
 
     ``value`` has shape ``(dim,)`` for one run, or ``(k, dim)`` for a batch
     of ``k`` runs whose ``queries`` is their summed price.
@@ -81,8 +82,6 @@ class IntegralEstimate:
 
     value: np.ndarray
     queries: int
-    kind: str
-    target_eps: float
 
     def __post_init__(self):
         v = np.asarray(self.value, dtype=float)
@@ -92,17 +91,16 @@ class IntegralEstimate:
         object.__setattr__(self, "value", v)
         if self.queries < 0:
             raise ContractViolationError("queries must be non-negative")
-        if self.kind not in KINDS:
-            raise ContractViolationError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
     """Configuration shared by all oracle kinds.
 
-    ``smoothness`` is the ``(r, rho)`` pair of the integrand class;
-    ``eps1`` the per-call accuracy target; ``seed`` a non-negative 64-bit
-    base seed (ignored by the deterministic kind); ``cost_constant`` the
+    ``smoothness`` is the ``(r, rho)`` pair of the integrand class, checked
+    by :class:`~ivporacle.problem.HolderSmoothness`; ``eps1`` the per-call
+    accuracy target; ``seed`` a non-negative 64-bit base seed (ignored by
+    the deterministic kind); ``cost_constant`` the finite positive
     multiplier in every query-budget formula.
     """
 
@@ -117,18 +115,14 @@ class OracleConfig:
             raise ContractViolationError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not self.eps1 > 0:
             raise ContractViolationError("eps1 must be positive")
-        r, rho = self.smoothness
-        if not isinstance(r, int) or r < 0:
-            raise ContractViolationError("smoothness r must be a non-negative integer")
-        if not 0.0 < rho <= 1.0:
-            raise ContractViolationError("smoothness rho must lie in (0, 1]")
-        if r == 0 and rho != 1.0:
-            raise ContractViolationError("r = 0 requires rho = 1")
-        object.__setattr__(self, "smoothness", (r, float(rho)))
+        if len(self.smoothness) != 2:
+            raise ContractViolationError(f"smoothness must be an (r, rho) pair, got {self.smoothness!r}")
+        smooth = HolderSmoothness(*self.smoothness)
+        object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ContractViolationError("seed must be a non-negative 64-bit integer")
-        if not self.cost_constant > 0:
-            raise ContractViolationError("cost_constant must be positive")
+        if not 0 < self.cost_constant < math.inf:
+            raise ContractViolationError("cost_constant must be finite and positive")
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -224,7 +218,7 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     budget = _budget(cfg, 0.0)
     panels = max(1, budget // q)
     value = _panel_gauss(g, panels, q)
-    return IntegralEstimate(value=value, queries=panels * q, kind=cfg.kind, target_eps=cfg.eps1)
+    return IntegralEstimate(value=value, queries=panels * q)
 
 
 def _runs(cfg: OracleConfig, seeds: Optional[Sequence[int]]) -> list[int]:
@@ -236,12 +230,9 @@ def _runs(cfg: OracleConfig, seeds: Optional[Sequence[int]]) -> list[int]:
     return [int(s) for s in seeds]
 
 
-def _emit(values: np.ndarray, per_call: int, cfg: OracleConfig, batched: bool) -> IntegralEstimate:
+def _emit(values: np.ndarray, per_call: int, batched: bool) -> IntegralEstimate:
     """One run's estimate, or the batch of ``(k, dim)`` runs charged ``k`` calls."""
-    if not batched:
-        return IntegralEstimate(value=values[0], queries=per_call, kind=cfg.kind, target_eps=cfg.eps1)
-    return IntegralEstimate(value=values, queries=len(values) * per_call, kind=cfg.kind,
-                            target_eps=cfg.eps1)
+    return IntegralEstimate(value=values if batched else values[0], queries=len(values) * per_call)
 
 
 def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = None) -> IntegralEstimate:
@@ -283,7 +274,7 @@ def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = 
     resid = _eval(g, u) - p_at_u
     residual_means = np.mean(resid.reshape(resid.shape[0], len(runs), nsamples), axis=2)
     values = (det_part[:, None] + residual_means).T
-    return _emit(values, panels * q + nsamples, cfg, seeds is not None)
+    return _emit(values, panels * q + nsamples, seeds is not None)
 
 
 def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] = None,
@@ -327,7 +318,7 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
                 noise = magnitude if next(draws) < 0.5 else -magnitude
             value.append(ref_j + noise)
         values.append(value)
-    return _emit(np.array(values), budget, cfg, seeds is not None)
+    return _emit(np.array(values), budget, seeds is not None)
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
@@ -341,18 +332,15 @@ def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEsti
     if not isinstance(k, int) or k < 1:
         raise ContractViolationError(f"k must be a positive integer, got {k}")
     estimates = [run(j) for j in range(k)]
-    first = estimates[0]
     if k == 1:
-        return first
+        return estimates[0]
     return median_of(IntegralEstimate(value=np.stack([e.value for e in estimates]),
-                                      queries=sum(e.queries for e in estimates),
-                                      kind=first.kind, target_eps=first.target_eps))
+                                      queries=sum(e.queries for e in estimates)))
 
 
 def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     """Componentwise median of a batch of ``(k, dim)`` runs, at their summed price."""
-    return IntegralEstimate(value=np.median(batch.value, axis=0), queries=batch.queries,
-                            kind=batch.kind, target_eps=batch.target_eps)
+    return IntegralEstimate(value=np.median(batch.value, axis=0), queries=batch.queries)
 
 
 def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
@@ -360,14 +348,14 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
 
     ``k = max(1, ceil(c * log2(1 / (1 - (1 - delta)^(1/n)))))``; the failure
     level per boosted call is split evenly (in probability) over the ``n``
-    steps of a solve.  Requires ``0 < delta < 1/2``.
+    steps of a solve.  Requires ``0 < delta < 1/2`` and a finite ``c > 0``.
     """
     if not 0.0 < delta < 0.5:
         raise ContractViolationError(f"delta must lie in (0, 1/2), got {delta}")
     if not isinstance(n, int) or n < 1:
         raise ContractViolationError(f"n must be a positive integer, got {n}")
-    if not c > 0:
-        raise ContractViolationError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ContractViolationError(f"c must be finite and positive, got {c}")
     per_step_failure = 1.0 - (1.0 - delta) ** (1.0 / n)
     return max(1, math.ceil(c * math.log2(1.0 / per_step_failure)))
 

@@ -80,10 +80,10 @@ class SolveConfig:
             raise ContractViolationError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ContractViolationError("seed must be a non-negative 64-bit integer")
-        if not self.cost_constant > 0:
-            raise ContractViolationError("cost_constant must be positive")
-        if not self.c > 0:
-            raise ContractViolationError("c must be positive")
+        if not 0 < self.cost_constant < np.inf:
+            raise ContractViolationError("cost_constant must be finite and positive")
+        if not 0 < self.c < np.inf:
+            raise ContractViolationError("c must be finite and positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,7 +206,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         step_integral = integrate_w_of_l(w_i, l_i, x_i, x_i + h)
-        g_i = residual(problem, w_i, l_i, x_i, h)
+        g_i = residual(problem, w_i, l_i, h)
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i

@@ -167,7 +167,7 @@ class TaylorMap:
     tensors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(self.center, dtype=float)  # a copy: freezing must not touch the caller's array
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
@@ -266,14 +266,14 @@ class ResidualIntegrand:
     """Scaled step residual ``g(u)`` on the unit interval.
 
     ``g(u) = scale * (f(l(x_i + u h)) - w(l(x_i + u h)))`` with
-    ``scale = h^-(r + rho)``.  Evaluating it charges nothing: the oracle that
-    integrates it reports its price, and the solver charges that once.
+    ``x_i = l.center`` and ``scale = h^-(r + rho)``.  Evaluating it charges
+    nothing: the oracle that integrates it reports its price, and the solver
+    charges that once.
     """
 
     problem: IVPProblem
     w: TaylorMap
     l: VecPolynomial
-    x_i: float
     h: float
 
     def __post_init__(self):
@@ -292,6 +292,6 @@ class ResidualIntegrand:
         return (fv - self.w(pts)) * self.scale
 
 
-def residual(problem: IVPProblem, w: TaylorMap, l: VecPolynomial, x_i: float, h: float) -> ResidualIntegrand:
-    """Residual integrand for one step; see :class:`ResidualIntegrand`."""
-    return ResidualIntegrand(problem=problem, w=w, l=l, x_i=float(x_i), h=float(h))
+def residual(problem: IVPProblem, w: TaylorMap, l: VecPolynomial, h: float) -> ResidualIntegrand:
+    """Residual integrand of the step of length ``h`` from ``l.center``."""
+    return ResidualIntegrand(problem=problem, w=w, l=l, h=float(h))

@@ -41,18 +41,14 @@ def quant_cfg(eps1, r=0, rho=1.0, seed=0, cc=4.0):
 
 class TestEstimateAndConfigContracts:
     def test_estimate_value_read_only_and_1d(self):
-        est = IntegralEstimate(value=0.5, queries=3, kind="deterministic", target_eps=0.1)
+        est = IntegralEstimate(value=0.5, queries=3)
         assert est.value.shape == (1,)
         with pytest.raises(ValueError):
             est.value[0] = 1.0
 
     def test_negative_queries_rejected(self):
         with pytest.raises(ContractViolationError):
-            IntegralEstimate(value=0.0, queries=-1, kind="deterministic", target_eps=0.1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractViolationError):
-            IntegralEstimate(value=0.0, queries=1, kind="trapezoid", target_eps=0.1)
+            IntegralEstimate(value=0.0, queries=-1)
 
     @pytest.mark.parametrize("kwargs", [
         dict(kind="deterministic", eps1=0.0, smoothness=(0, 1.0)),
@@ -61,6 +57,10 @@ class TestEstimateAndConfigContracts:
         dict(kind="randomized", eps1=0.1, smoothness=(-1, 1.0)),
         dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=-1),
         dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=0.0),
+        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.inf),
+        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.nan),
+        dict(kind="deterministic", eps1=0.1, smoothness=(4, 1.0)),
+        dict(kind="deterministic", eps1=0.1, smoothness=(1, 1.0, 2)),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
@@ -283,14 +283,13 @@ class TestReferenceQuadratures:
 class TestBoostMedian:
     def test_median_of_three(self):
         vals = iter([0.4, 0.9, 0.5])
-        run = lambda j: IntegralEstimate(value=next(vals), queries=2, kind="randomized",
-                                         target_eps=0.1)
+        run = lambda j: IntegralEstimate(value=next(vals), queries=2)
         est = boost_median(run, 3)
         assert est.value[0] == 0.5
         assert est.queries == 6
 
     def test_k1_is_identity(self):
-        run = lambda j: IntegralEstimate(value=0.7, queries=5, kind="quantum_sim", target_eps=0.1)
+        run = lambda j: IntegralEstimate(value=0.7, queries=5)
         est = boost_median(run, 1)
         assert est.value[0] == 0.7
         assert est.queries == 5
@@ -304,7 +303,7 @@ class TestBoostMedian:
         seen = []
         def run(j):
             seen.append(j)
-            return IntegralEstimate(value=float(j), queries=1, kind="randomized", target_eps=0.1)
+            return IntegralEstimate(value=float(j), queries=1)
         boost_median(run, 5)
         assert seen == [0, 1, 2, 3, 4]
 
@@ -348,8 +347,9 @@ class TestRepetitionsFor:
     def test_n_and_c_domains(self):
         with pytest.raises(ContractViolationError):
             repetitions_for(0.1, 0)
-        with pytest.raises(ContractViolationError):
-            repetitions_for(0.1, 4, c=0.0)
+        for c in (0.0, math.inf, math.nan):
+            with pytest.raises(ContractViolationError):
+                repetitions_for(0.1, 4, c=c)
 
 
 class TestDeriveSeed:

@@ -118,7 +118,7 @@ def per_repetition_stepper(problem, cfg):
         x_i = a + i * h
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
-        g = residual(problem, w_i, l_i, x_i, h)
+        g = residual(problem, w_i, l_i, h)
         if cfg.mode == "randomized":
             run = lambda j: integrate_randomized(
                 g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)))
@@ -144,6 +144,9 @@ class TestSolveConfig:
         dict(n=4, seed=-3),
         dict(n=4, cost_constant=0.0),
         dict(n=4, c=-1.0),
+        dict(n=4, mode="randomized", c=math.inf),
+        dict(n=4, mode="quantum_sim", cost_constant=math.inf),
+        dict(n=4, cost_constant=math.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractViolationError):

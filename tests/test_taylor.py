@@ -152,6 +152,14 @@ class TestBuildW:
             w = build_w(p, y)
             np.testing.assert_array_equal(w(y), eval_rhs(p, y))
 
+    def test_caller_state_stays_writable_and_is_not_aliased(self):
+        y = np.array([0.3])
+        w = build_w(catalog("logistic", r=1), y)
+        y[0] = 0.4
+        assert w.center[0] == 0.3
+        with pytest.raises(ValueError):
+            w.center[0] = 0.5
+
     def test_batch_evaluation_matches_loop(self):
         p = catalog("scalar-quadratic", r=2)
         w = build_w(p, np.array([1.2]))
@@ -204,7 +212,7 @@ class TestResidual:
         y = np.array([1.0])
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 1), 0.0)
-        g = residual(p, w, l, 0.0, 0.25)
+        g = residual(p, w, l, 0.25)
         np.testing.assert_allclose(g(np.array([0.0, 0.25, 1.0]))[0], [0.0, 0.25, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("name,r", [("scalar-exponential", 1), ("scalar-quadratic", 2),
@@ -215,7 +223,7 @@ class TestResidual:
         y = p.eta + 0.05
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), 0.0)
-        g = residual(p, w, l, 0.0, 0.125)
+        g = residual(p, w, l, 0.125)
         assert np.max(np.abs(g(np.linspace(0.0, 1.0, 9)))) < 1e-12
 
     def test_scale_exponent(self):
@@ -223,7 +231,7 @@ class TestResidual:
         y = np.array([0.3])
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 2), 0.0)
-        g = residual(p, w, l, 0.0, 0.01)
+        g = residual(p, w, l, 0.01)
         assert g.scale == pytest.approx(0.01 ** (-1.5))
 
     def test_nonpositive_step_rejected(self):
@@ -232,7 +240,7 @@ class TestResidual:
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 1), 0.0)
         with pytest.raises(ContractViolationError):
-            residual(p, w, l, 0.0, 0.0)
+            residual(p, w, l, 0.0)
 
 
 @pytest.mark.parametrize("name,r,rho", [
@@ -253,7 +261,7 @@ def test_step_identity_against_reference(name, r, rho):
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
         taylor_part = integrate_w_of_l(w, l, x_i, x_i + h)
-        g = residual(p, w, l, x_i, h)
+        g = residual(p, w, l, h)
         lhs = taylor_part + h ** (r + rho + 1.0) * reference_integral(g)
         rhs = h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
