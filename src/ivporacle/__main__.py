@@ -1,0 +1,8 @@
+"""``python -m ivporacle``: the sweep runner of :mod:`ivporacle.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

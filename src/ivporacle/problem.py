@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,13 +48,15 @@ class HolderSmoothness:
     rho: float
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or not 0 <= self.r <= MAX_ORDER:
-            raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {self.r}")
-        if not 0.0 < self.rho <= 1.0:
-            raise ContractViolationError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.r == 0 and self.rho != 1.0:
+        r, rho = self.r, self.rho
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= MAX_ORDER:
+            raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {r!r}")
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0.0 < rho <= 1.0:
+            raise ContractViolationError(f"rho must be a real number in (0, 1], got {rho!r}")
+        if r == 0 and rho != 1.0:
             raise ContractViolationError("r = 0 requires rho = 1")
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "r", int(r))
+        object.__setattr__(self, "rho", float(rho))
 
     @property
     def order(self) -> float:

@@ -24,19 +24,19 @@ class with ``r`` derivatives and a ``rho``-Holder top derivative:
     ``ceil(cost_constant * eps1 ** (-1 / (r + rho + 1)))``, not at the
     internal node count.
 
-All oracles are deterministic functions of ``(g, config)``; the randomized
-kinds draw from a generator seeded by ``config.seed``.  Integrands are
-callables mapping a float array of shape ``(m,)`` to values of shape
-``(m,)`` or ``(dim, m)``.  Oracles charge nothing themselves: each reports
-its price in ``IntegralEstimate.queries``, and the caller charges it.
+All oracles are deterministic functions of ``(g, config)`` and, for the
+randomized kinds, of the generator they draw from (``default_rng(config.seed)``
+unless given).  Integrands map a float array of shape ``(m,)`` to values of
+shape ``(m,)`` or ``(dim, m)``.  Oracles charge nothing themselves: each
+reports its price in ``IntegralEstimate.queries``, and the caller charges it.
 
 Boosting makes ``k`` independent runs of a randomized kind on one integrand.
-Both take ``seeds=`` to make them as one batch: each run draws from its own
-``default_rng(seed)`` stream, and the work common to all runs (the panel
-values and control variate, or the simulator's reference) is done once.
-The batch returns the ``(k, dim)`` run values, each equal bit for bit to
-the single call with that seed, charged at ``k`` times the per-call budget;
-:func:`median_of` merges them.  A single call is the batch of one run.
+Both take ``rng=`` and ``k=`` to make them as one batch: the runs draw one
+block of uniforms from ``rng``, run ``j`` reading row ``j``, and the work
+common to all runs (the control variate, or the simulator's reference) is
+done once.  The ``(k, dim)`` batch costs ``k`` per-call budgets and equals
+``k`` successive single calls on a generator in the same state bit for bit;
+:func:`median_of` merges it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -221,21 +221,20 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     return IntegralEstimate(value=value, queries=panels * q)
 
 
-def _runs(cfg: OracleConfig, seeds: Optional[Sequence[int]]) -> list[int]:
-    """Seeds of the runs to make: ``seeds`` for a batch, else ``config.seed``."""
-    if seeds is None:
-        return [int(cfg.seed)]
-    if len(seeds) < 1:
-        raise ContractViolationError("seeds must list at least one seed")
-    return [int(s) for s in seeds]
+def _runs(cfg: OracleConfig, rng, k: Optional[int]) -> tuple[np.random.Generator, int]:
+    """The generator to draw from and the number of runs, 1 for a single call."""
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+        raise ContractViolationError(f"k must be a positive integer, got {k!r}")
+    return (np.random.default_rng(cfg.seed) if rng is None else rng), (1 if k is None else k)
 
 
-def _emit(values: np.ndarray, per_call: int, batched: bool) -> IntegralEstimate:
+def _emit(values: np.ndarray, per_call: int, k: Optional[int]) -> IntegralEstimate:
     """One run's estimate, or the batch of ``(k, dim)`` runs charged ``k`` calls."""
-    return IntegralEstimate(value=values if batched else values[0], queries=len(values) * per_call)
+    return IntegralEstimate(value=values[0] if k is None else values, queries=len(values) * per_call)
 
 
-def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = None) -> IntegralEstimate:
+def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator] = None,
+                         k: Optional[int] = None) -> IntegralEstimate:
     """Control-variate Monte Carlo estimate.
 
     Splits the budget between a piecewise degree-``r`` interpolant of ``g``
@@ -244,15 +243,15 @@ def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = 
     at most ``r`` exactly, so such integrands are computed to rounding error
     regardless of the seed.
 
-    With ``seeds`` the call makes one run per seed, each drawing its samples
-    from its own ``default_rng(seed)`` stream, and returns their ``(k, dim)``
-    values charged at ``k`` times the per-call budget.  The interpolant is
-    built once and ``g`` is called once for the samples of all runs; each
-    run equals the single call with that seed bit for bit.
+    The samples are drawn from ``rng`` (default ``default_rng(config.seed)``).
+    With ``k`` the call makes ``k`` runs from one ``(k, nsamples)`` block,
+    run ``j`` taking row ``j``, and returns their ``(k, dim)`` values charged
+    at ``k`` times the per-call budget.  The interpolant is built once and
+    ``g`` is called once for the samples of all runs.
     """
     if cfg.kind != "randomized":
         raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
-    runs = _runs(cfg, seeds)
+    rng, runs = _runs(cfg, rng, k)
     r, _ = cfg.smoothness
     q = r + 1
     budget = _budget(cfg, 0.5)
@@ -263,22 +262,23 @@ def integrate_randomized(g, cfg: OracleConfig, seeds: Optional[Sequence[int]] = 
     _, w_ref = _gauss_rule(q)
     det_part = np.einsum("dpq,q->d", vals, w_ref) / panels
 
-    u = np.concatenate([np.random.default_rng(seed).random(nsamples) for seed in runs])
+    u = rng.random((runs, nsamples)).reshape(-1)
     idx = np.minimum((u * panels).astype(int), panels - 1)
     xi = u * panels - idx
     coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
     local = coeffs[:, idx, :]  # (dim, k * nsamples, q)
     p_at_u = local[:, :, q - 1]
-    for k in range(q - 2, -1, -1):
-        p_at_u = p_at_u * xi + local[:, :, k]
+    for m in range(q - 2, -1, -1):
+        p_at_u = p_at_u * xi + local[:, :, m]
     resid = _eval(g, u) - p_at_u
-    residual_means = np.mean(resid.reshape(resid.shape[0], len(runs), nsamples), axis=2)
+    residual_means = np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)
     values = (det_part[:, None] + residual_means).T
-    return _emit(values, panels * q + nsamples, seeds is not None)
+    return _emit(values, panels * q + nsamples, k)
 
 
 def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] = None,
-                          seeds: Optional[Sequence[int]] = None) -> IntegralEstimate:
+                          rng: Optional[np.random.Generator] = None,
+                          k: Optional[int] = None) -> IntegralEstimate:
     """Simulated quantum integral oracle.
 
     Emits, independently per component, ``reference + noise`` where the noise
@@ -289,45 +289,42 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
     quadrature when the caller already holds it; queries are always charged
     at the modeled budget.
 
-    With ``seeds`` the call emits one value per seed around the one
-    reference, each from its own ``default_rng(seed)`` stream, and returns
-    the ``(k, dim)`` values charged at ``k`` times the budget; each equals
-    the single call with that seed bit for bit.
+    The draws are one ``(k, dim, 3)`` block from ``rng`` (default
+    ``default_rng(config.seed)``; ``k = 1`` for a single call): each
+    component reads three fixed slots, band, noise and sign.  With ``k`` the
+    ``(k, dim)`` values are returned, charged at ``k`` times the budget.
     """
     if cfg.kind != "quantum_sim":
         raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
-    runs = _runs(cfg, seeds)
+    rng, runs = _runs(cfg, rng, k)
     budget = _budget(cfg, 1.0)
     if reference is None:
         reference = quantum_reference(g)
     reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
     eps = cfg.eps1
     values = []
-    for seed in runs:
-        # A component takes, in stream order, a band draw, a noise draw and,
-        # for an outlier, a sign draw; three per component always suffice.
+    for run in rng.random((runs, len(reference), 3)).tolist():
         # Noise is computed as ``Generator.uniform(lo, hi)`` does it,
         # ``lo + (hi - lo) * random()``.
-        draws = iter(np.random.default_rng(seed).random(3 * len(reference)).tolist())
         value = []
-        for ref_j in reference:
-            if next(draws) < 0.75:
-                noise = -eps + (eps - -eps) * next(draws)
+        for ref_j, (band, unit, sign) in zip(reference, run):
+            if band < 0.75:
+                noise = -eps + (eps - -eps) * unit
             else:
-                magnitude = eps + (10.0 * eps - eps) * next(draws)
-                noise = magnitude if next(draws) < 0.5 else -magnitude
+                magnitude = eps + (10.0 * eps - eps) * unit
+                noise = magnitude if sign < 0.5 else -magnitude
             value.append(ref_j + noise)
         values.append(value)
-    return _emit(np.array(values), budget, seeds is not None)
+    return _emit(np.array(values), budget, k)
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
     """Boost a probabilistic estimator by a componentwise median of ``k`` runs.
 
-    ``run(j)`` must produce the ``j``-th independent estimate (callers derive
-    per-run seeds from ``j``).  Runs execute and merge in index order, so the
-    result does not depend on scheduling.  ``k = 1`` returns the single run
-    unchanged.
+    ``run(j)`` must produce the ``j``-th independent estimate (callers seed
+    it from ``j``, or draw it from a generator the runs share).  Runs execute
+    and merge in index order, so the result does not depend on scheduling.
+    ``k = 1`` returns the single run unchanged.
     """
     if not isinstance(k, int) or k < 1:
         raise ContractViolationError(f"k must be a positive integer, got {k}")
@@ -363,8 +360,8 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
 def derive_seed(base: int, *path: int) -> int:
     """Fold a base seed and an integer path into a fresh 64-bit seed.
 
-    Deterministic and collision-resistant; used to give every (step,
-    repetition) pair its own independent stream.
+    Deterministic and collision-resistant: every path, such as a test's
+    (trial, repetition) pair, gets its own independent seed.
     """
     ss = np.random.SeedSequence([int(base)] + [int(p) for p in path])
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ContractViolationError, DivergenceError, DomainError, StationaryStartError
 from .problem import CostLedger, IVPProblem, eval_rhs
-# boost_median is not called here; it stays a module attribute because the
-# benchmark's tracer (perfbench/spans.py) patches it by name.
+# boost_median and derive_seed are unused here; they stay module attributes
+# because the benchmark's tracer (perfbench/spans.py) patches them by name.
 from .quad import (  # noqa: F401
     IntegralEstimate,
     OracleConfig,
@@ -118,9 +118,9 @@ class _Run(NamedTuple):
     k: int
     seed: int
 
-    def seeds(self, i: int) -> list[int]:
-        """One seed per boosting repetition of step ``i``."""
-        return [derive_seed(self.seed, i, j) for j in range(self.k)]
+    def rng(self, i: int) -> np.random.Generator:
+        """Step ``i``'s Philox stream, keyed by ``(seed, i)``; its k runs draw one block."""
+        return np.random.Generator(np.random.Philox(key=np.array([self.seed, i], dtype=np.uint64)))
 
 
 def _det_exact(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
@@ -135,11 +135,11 @@ def _det_values(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
 
 
 def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    return _boosted(integrate_randomized(g, run.oracle, seeds=run.seeds(i)), run)
+    return _boosted(integrate_randomized(g, run.oracle, rng=run.rng(i), k=run.k), run)
 
 
 def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g), seeds=run.seeds(i))
+    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g), rng=run.rng(i), k=run.k)
     return _boosted(est, run)
 
 

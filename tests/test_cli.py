@@ -1,9 +1,13 @@
 """CLI tests: config plumbing, sweep mechanics, CSV format, slope estimators."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ivporacle
 from ivporacle import (
     ContractViolationError,
     ExperimentConfig,
@@ -182,6 +186,15 @@ interval = 0.0, 1.0
 
 
 class TestMain:
+    def test_module_entry_point_runs_without_warnings(self):
+        src = os.path.dirname(os.path.dirname(ivporacle.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "ivporacle", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: ivporacle")
+
     def test_config_file_drives_sweep(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.ini"
         cfg_file.write_text(CONFIG_TEXT)

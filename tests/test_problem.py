@@ -166,8 +166,8 @@ _FLOATS = st.sampled_from([0.0, 1.0, 1.5, 0.5, -0.25, 1e-300, 1e300, np.inf, -np
 @given(
     name=st.sampled_from(catalog_names() + ("integration-reduction:cos-pi", "integration-reduction:sin-2pi",
                                             "pendulum")),
-    r=st.integers(-1, 4),
-    rho=_FLOATS,
+    r=st.one_of(st.integers(-1, 4), st.sampled_from([True, False, np.int64(1), np.int8(3), 1.0, "1", None])),
+    rho=st.one_of(_FLOATS, st.sampled_from([True, "0.5", None, np.float32(0.5), 1])),
     eta=st.one_of(st.none(), _FLOATS, st.lists(_FLOATS, min_size=1, max_size=2)),
     interval=st.one_of(
         st.none(),
@@ -186,6 +186,7 @@ def test_catalog_yields_problem_or_typed_error(name, r, rho, eta, interval):
     assert np.isfinite([a, b]).all() and a < b
     assert p.eta.shape == (p.dim,) and np.isfinite(p.eta).all()
     assert (p.smoothness.r, p.smoothness.rho) == (r, rho)
+    assert type(p.smoothness.r) is int and type(p.smoothness.rho) is float
 
 
 class TestCatalog:
@@ -212,6 +213,11 @@ class TestCatalog:
         ("logistic", dict(eta=np.nan), DomainError),
         ("logistic", dict(eta="0.2x"), ContractViolationError),
         ("scalar-exponential", dict(interval=("a", "b")), ContractViolationError),
+        ("logistic", dict(r=True), ContractViolationError),
+        ("logistic", dict(r="1"), ContractViolationError),
+        ("logistic", dict(rho="0.5"), ContractViolationError),
+        ("logistic", dict(r=1, rho=True), ContractViolationError),
+        ("logistic", dict(rho=None), ContractViolationError),
     ])
     def test_bad_request_raises_typed_error(self, name, kwargs, error):
         with pytest.raises(error):
@@ -239,6 +245,11 @@ class TestCatalog:
         ref_end = p.reference(p.interval[1])
         assert ref_end[0] == pytest.approx(1.0)
         assert abs(ref_end[1]) < 1e-15
+
+    def test_numpy_integer_r_is_stored_as_int(self):
+        s = catalog("logistic", r=np.int64(1), rho=np.float64(0.5)).smoothness
+        assert (s.r, s.rho) == (1, 0.5)
+        assert type(s.r) is int and type(s.rho) is float
 
     def test_smoothness_follows_request(self):
         p = catalog("logistic", r=2, rho=1.0)

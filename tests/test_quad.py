@@ -211,20 +211,32 @@ class TestQuantumSimOracle:
 
     def test_emission_matches_scalar_generator_draws(self):
         # The law drawn value by value with Generator.random/uniform, as a
-        # reference for the oracle's prefetched draws.
+        # reference for the oracle's block of draws.  At dim 1 the band,
+        # noise and sign draws are the stream in order.  At dim 2 component
+        # j reads slots 3j, 3j+1 and 3j+2 as band, noise and sign, whether or
+        # not it is an outlier.
         eps1 = 1e-2
-        ref = np.array([0.3, -1.7])
+
+        def emit(ref_j, band, unit, sign):
+            if band < 0.75:
+                return ref_j + (-eps1 + (eps1 - -eps1) * unit)
+            magnitude = eps1 + (10.0 * eps1 - eps1) * unit
+            return ref_j + (magnitude if sign < 0.5 else -magnitude)
+
+        ref1, ref2 = np.array([0.3]), np.array([0.3, -1.7])
         for seed in range(2000):
             rng = np.random.default_rng(seed)
-            expected = []
-            for j in range(2):
-                if rng.random() < 0.75:
-                    noise = rng.uniform(-eps1, eps1)
-                else:
-                    magnitude = rng.uniform(eps1, 10.0 * eps1)
-                    noise = magnitude if rng.random() < 0.5 else -magnitude
-                expected.append(ref[j] + noise)
-            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref)
+            if rng.random() < 0.75:
+                noise = rng.uniform(-eps1, eps1)
+            else:
+                magnitude = rng.uniform(eps1, 10.0 * eps1)
+                noise = magnitude if rng.random() < 0.5 else -magnitude
+            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref1)
+            np.testing.assert_array_equal(est.value, ref1 + noise)
+
+            slots = np.random.default_rng(seed).random(6).tolist()
+            expected = [emit(ref2[j], *slots[3 * j:3 * j + 3]) for j in range(2)]
+            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref2)
             np.testing.assert_array_equal(est.value, expected)
 
     def test_seed_determinism(self):
@@ -249,10 +261,14 @@ class TestBatchedRuns:
         (integrate_quantum_sim, quant_cfg),
     ])
     def test_batch_equals_single_calls(self, rng, oracle, make_cfg):
+        # k runs from one generator equal k successive single calls on a
+        # generator in the same state.
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
-        seeds = [derive_seed(5, j) for j in range(6)]
-        batch = oracle(g, make_cfg(1e-2, r=1), seeds=seeds)
-        singles = [oracle(g, make_cfg(1e-2, r=1, seed=s)) for s in seeds]
+        cfg = make_cfg(1e-2, r=1)
+        stream = lambda: np.random.Generator(np.random.Philox(key=[5, 3]))
+        batch = oracle(g, cfg, rng=stream(), k=6)
+        gen = stream()
+        singles = [oracle(g, cfg, rng=gen) for _ in range(6)]
         assert batch.value.shape == (6, 2)
         np.testing.assert_array_equal(batch.value, np.stack([e.value for e in singles]))
         assert batch.queries == 6 * singles[0].queries
@@ -265,8 +281,22 @@ class TestBatchedRuns:
         (integrate_quantum_sim, quant_cfg),
     ])
     def test_empty_batch_rejected(self, oracle, make_cfg):
-        with pytest.raises(ContractViolationError):
-            oracle(lambda u: u, make_cfg(1e-2), seeds=[])
+        for k in (0, -1, 2.5):
+            with pytest.raises(ContractViolationError):
+                oracle(lambda u: u, make_cfg(1e-2), k=k)
+
+    @pytest.mark.parametrize("oracle,make_cfg", [
+        (integrate_randomized, rand_cfg),
+        (integrate_quantum_sim, quant_cfg),
+    ])
+    def test_default_generator_is_config_seed(self, rng, oracle, make_cfg):
+        g = make_kink_integrand(rng, 1, 1.0, dim=2)
+        cfg = make_cfg(1e-2, r=1, seed=77)
+        for k in (None, 4):
+            default = oracle(g, cfg, k=k)
+            explicit = oracle(g, cfg, rng=np.random.default_rng(77), k=k)
+            np.testing.assert_array_equal(default.value, explicit.value)
+            assert default.queries == explicit.queries
 
 
 class TestReferenceQuadratures:

@@ -5,10 +5,10 @@ r = 0; the general stepper must reproduce it bit for bit, which pins down
 the exact arithmetic of the update (no algebraically-equal-but-reordered
 variants allowed).  ``per_repetition_stepper`` covers the boosted modes at
 any r: it runs each of a step's k repetitions as its own single-call oracle,
+all drawing in turn from the step's ``Philox`` stream keyed by (seed, step),
 and the batched stepper must match it bit for bit and ledger for ledger.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +28,6 @@ from ivporacle import (
     build_l,
     build_w,
     catalog,
-    derive_seed,
     eval_rhs,
     eval_trajectory,
     integrate_deterministic,
@@ -75,22 +74,17 @@ def modified_euler(problem, cfg):
             return (fv - w) * h ** (-rho)
 
         g.dim = problem.dim
+        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
         if cfg.mode == "det_exact":
             a_i = integrate_reference(lambda u: g(u, y=y, f0=f0), tol=1e-12)
         elif cfg.mode == "det_values":
             a_i = integrate_deterministic(g, oracle_cfg).value
         elif cfg.mode == "randomized":
-            a_i = boost_median(
-                lambda j: integrate_randomized(
-                    g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j))),
-                k).value
+            a_i = boost_median(lambda j: integrate_randomized(g, oracle_cfg, rng=gen), k).value
         else:
             ref = quantum_reference(g)
             a_i = boost_median(
-                lambda j: integrate_quantum_sim(
-                    g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)),
-                    reference=ref),
-                k).value
+                lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen), k).value
         y = y + f0 * (h ** 1 / 1) + h ** (1.0 + rho) * a_i
         states.append(y.copy())
     return np.array(states)
@@ -119,13 +113,12 @@ def per_repetition_stepper(problem, cfg):
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         g = residual(problem, w_i, l_i, h)
+        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
         if cfg.mode == "randomized":
-            run = lambda j: integrate_randomized(
-                g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)))
+            run = lambda j: integrate_randomized(g, oracle_cfg, rng=gen)
         else:
             ref = quantum_reference(g)
-            run = lambda j: integrate_quantum_sim(
-                g, dataclasses.replace(oracle_cfg, seed=derive_seed(cfg.seed, i, j)), reference=ref)
+            run = lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen)
         est = boost_median(run, k)
         ledger.charge_queries(est.queries)
         ledger.charge_repetitions(k)
