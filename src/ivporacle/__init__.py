@@ -39,7 +39,6 @@ from .taylor import (
 )
 from .quad import (
     KINDS,
-    QUANTUM_REFERENCE_NODES,
     IntegralEstimate,
     OracleConfig,
     boost_median,
@@ -85,7 +84,6 @@ __all__ = [
     "MAX_ORDER",
     "MODES",
     "OracleConfig",
-    "QUANTUM_REFERENCE_NODES",
     "ResidualIntegrand",
     "SolveConfig",
     "StationaryStartError",

@@ -16,13 +16,14 @@ class with ``r`` derivatives and a ``rho``-Holder top derivative:
     (Chebyshev).  Budget grows like ``eps1 ** (-1 / (r + rho + 1/2))``.
 
 ``quantum_sim``
-    A statistical stand-in for a quantum integration device.  It computes a
-    high-accuracy internal reference value and then emits, independently per
-    component, the reference plus uniform noise within ``eps1`` (probability
-    3/4) or a disjoint outlier band up to ``10 eps1`` (probability 1/4).
-    Queries are charged at the modeled budget
+    A statistical stand-in for a quantum integration device.  It computes
+    the integral with :func:`integrate_reference`, the one reference
+    quadrature (the solver's exact mode uses it too), and then emits,
+    independently per component, the reference plus uniform noise within
+    ``eps1`` (probability 3/4) or a disjoint outlier band up to ``10 eps1``
+    (probability 1/4).  Queries are charged at the modeled budget
     ``ceil(cost_constant * eps1 ** (-1 / (r + rho + 1)))``, not at the
-    internal node count.
+    reference's node count.
 
 All oracles are deterministic functions of ``(g, config)`` and, for the
 randomized kinds, of the generator they draw from (``default_rng(config.seed)``
@@ -67,9 +68,6 @@ __all__ = [
 ]
 
 KINDS = ("deterministic", "randomized", "quantum_sim")
-
-#: Node count of the simulated-quantum internal reference, per component.
-QUANTUM_REFERENCE_NODES = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,10 +117,15 @@ class OracleConfig:
             raise ContractViolationError(f"smoothness must be an (r, rho) pair, got {self.smoothness!r}")
         smooth = HolderSmoothness(*self.smoothness)
         object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ContractViolationError("seed must be a non-negative 64-bit integer")
+        check_seed(self.seed)
         if not 0 < self.cost_constant < math.inf:
             raise ContractViolationError("cost_constant must be finite and positive")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an ``int`` or ``np.integer`` (bool excluded) in ``[0, 2**64)``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -169,11 +172,15 @@ def _panel_gauss(g, panels: int, q: int) -> np.ndarray:
 def integrate_reference(g, tol: float = 1e-12, max_panels: int = 4096) -> np.ndarray:
     """High-accuracy reference integral by panel-doubling composite Gauss.
 
-    Doubles the panel count of a 16-point rule until two successive levels
-    agree to ``tol`` in the max norm.  For analytic integrands this converges
-    within a few levels; if ``max_panels`` is reached the finest estimate is
-    returned as-is.
+    A 16-point rule on 8, 16, 32, ... panels stops once two successive levels
+    agree to ``tol`` (finite, positive) in the max norm; a ``tol`` below the
+    rounding error of ``g``'s values runs to ``max_panels`` (at least 16),
+    whose estimate is returned as-is.
     """
+    if not 0 < tol < math.inf:
+        raise ContractViolationError(f"tol must be finite and positive, got {tol!r}")
+    if max_panels < 16:
+        raise ContractViolationError(f"max_panels must be at least 16, got {max_panels!r}")
     prev = _panel_gauss(g, 8, 16)
     panels = 16
     while panels <= max_panels:
@@ -185,18 +192,9 @@ def integrate_reference(g, tol: float = 1e-12, max_panels: int = 4096) -> np.nda
     return prev
 
 
-def quantum_reference(g) -> np.ndarray:
-    """Internal reference of the simulated-quantum oracle.
-
-    Composite 10-point Gauss with exactly ``QUANTUM_REFERENCE_NODES * dim``
-    nodes.  Exposed so a caller integrating the same ``g`` repeatedly (for
-    boosting) can compute the reference once and pass it back in.
-    """
-    dim = getattr(g, "dim", None)
-    if dim is None:
-        dim = _eval(g, np.array([0.5])).shape[0]
-    panels = (QUANTUM_REFERENCE_NODES * dim) // 10
-    return _panel_gauss(g, panels, 10)
+#: The simulated-quantum oracle's reference is the one reference quadrature;
+#: a caller boosting on one ``g`` computes it once and passes it back in.
+quantum_reference = integrate_reference
 
 
 def _budget(cfg: OracleConfig, exponent_shift: float) -> int:

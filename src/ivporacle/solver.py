@@ -32,6 +32,7 @@ from .quad import (  # noqa: F401
     IntegralEstimate,
     OracleConfig,
     boost_median,
+    check_seed,
     derive_seed,
     integrate_deterministic,
     integrate_quantum_sim,
@@ -56,8 +57,10 @@ __all__ = ["MODES", "BOOSTED_MODES", "SolveConfig", "Trajectory", "solve", "eval
 #: Trajectories whose max norm exceeds this multiple of (1 + |eta|) abort.
 DIVERGENCE_FACTOR = 1e6
 
-#: Tolerance of the det_exact reference quadrature (exact-functional stand-in).
-DET_EXACT_TOL = 1e-12
+#: A step's reference integral stops at this tolerance or at this many
+#: rounding units of the residual's values, whichever is larger.
+REFERENCE_TOL = 1e-12
+ROUNDING_ULPS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +81,7 @@ class SolveConfig:
             raise ContractViolationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.delta < 0.5:
             raise ContractViolationError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ContractViolationError("seed must be a non-negative 64-bit integer")
+        check_seed(self.seed)
         if not 0 < self.cost_constant < np.inf:
             raise ContractViolationError("cost_constant must be finite and positive")
         if not 0 < self.c < np.inf:
@@ -123,9 +125,20 @@ class _Run(NamedTuple):
         return np.random.Generator(np.random.Philox(key=np.array([self.seed, i], dtype=np.uint64)))
 
 
+def reference_tol(scale: float, f_y: np.ndarray) -> float:
+    """Stop rule of the reference integral of ``scale * (f(l) - w(l))``.
+
+    Its values round at about ``eps * scale * max|f(y_i)|`` (``f_y = f(y_i)``,
+    already fetched), and no two panel levels agree more closely; stopping at
+    ``ROUNDING_ULPS`` such units moves ``y_{i+1}`` by about as many ulps of
+    the step's increment ``h f(y_i)``.
+    """
+    return max(REFERENCE_TOL, ROUNDING_ULPS * np.finfo(float).eps * scale * float(np.max(np.abs(f_y))))
+
+
 def _det_exact(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
     run.ledger.charge_queries(g.dim)
-    return integrate_reference(g, tol=DET_EXACT_TOL)
+    return integrate_reference(g, tol=reference_tol(g.scale, g.w.tensors[0]))
 
 
 def _det_values(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
@@ -139,7 +152,8 @@ def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
 
 
 def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    est = integrate_quantum_sim(g, run.oracle, reference=quantum_reference(g), rng=run.rng(i), k=run.k)
+    reference = quantum_reference(g, tol=reference_tol(g.scale, g.w.tensors[0]))
+    est = integrate_quantum_sim(g, run.oracle, reference=reference, rng=run.rng(i), k=run.k)
     return _boosted(est, run)
 
 

@@ -56,6 +56,10 @@ class TestEstimateAndConfigContracts:
         dict(kind="randomized", eps1=0.1, smoothness=(0, 0.5)),
         dict(kind="randomized", eps1=0.1, smoothness=(-1, 1.0)),
         dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=-1),
+        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=2.7),
+        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=True),
+        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), seed="3"),
+        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), seed=2 ** 64),
         dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=0.0),
         dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.inf),
         dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.nan),
@@ -303,6 +307,18 @@ class TestReferenceQuadratures:
     def test_panel_doubling_hits_tolerance(self):
         val = integrate_reference(lambda u: np.exp(u), tol=1e-13)
         assert abs(val[0] - (np.e - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=0.0),
+        dict(tol=-1e-12),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(max_panels=8),
+        dict(max_panels=0),
+    ])
+    def test_reference_validation(self, kwargs):
+        with pytest.raises(ContractViolationError):
+            integrate_reference(lambda u: np.exp(u), **kwargs)
 
     def test_quantum_reference_matches_independent_quadrature(self, rng):
         g = make_kink_integrand(rng, 1, 1.0, dim=2)

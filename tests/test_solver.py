@@ -21,6 +21,7 @@ from ivporacle import (
     DomainError,
     MODES,
     OracleConfig,
+    ResidualIntegrand,
     SolveConfig,
     Trajectory,
     VecPolynomial,
@@ -42,6 +43,8 @@ from ivporacle import (
     solve,
     sup_error,
 )
+from ivporacle import solver
+from ivporacle.solver import reference_tol
 
 
 def modified_euler(problem, cfg):
@@ -76,13 +79,13 @@ def modified_euler(problem, cfg):
         g.dim = problem.dim
         gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
         if cfg.mode == "det_exact":
-            a_i = integrate_reference(lambda u: g(u, y=y, f0=f0), tol=1e-12)
+            a_i = integrate_reference(lambda u: g(u, y=y, f0=f0), tol=reference_tol(h ** (-rho), f0))
         elif cfg.mode == "det_values":
             a_i = integrate_deterministic(g, oracle_cfg).value
         elif cfg.mode == "randomized":
             a_i = boost_median(lambda j: integrate_randomized(g, oracle_cfg, rng=gen), k).value
         else:
-            ref = quantum_reference(g)
+            ref = quantum_reference(g, tol=reference_tol(h ** (-rho), f0))
             a_i = boost_median(
                 lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen), k).value
         y = y + f0 * (h ** 1 / 1) + h ** (1.0 + rho) * a_i
@@ -117,7 +120,7 @@ def per_repetition_stepper(problem, cfg):
         if cfg.mode == "randomized":
             run = lambda j: integrate_randomized(g, oracle_cfg, rng=gen)
         else:
-            ref = quantum_reference(g)
+            ref = quantum_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
             run = lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen)
         est = boost_median(run, k)
         ledger.charge_queries(est.queries)
@@ -135,6 +138,10 @@ class TestSolveConfig:
         dict(n=4, delta=0.5),
         dict(n=4, delta=0.0),
         dict(n=4, seed=-3),
+        dict(n=4, seed=2.7),
+        dict(n=4, seed=True),
+        dict(n=4, seed="3"),
+        dict(n=4, seed=2 ** 64),
         dict(n=4, cost_constant=0.0),
         dict(n=4, c=-1.0),
         dict(n=4, mode="randomized", c=math.inf),
@@ -144,6 +151,13 @@ class TestSolveConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
             SolveConfig(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        # The randomized mode passes the seed on to its OracleConfig too.
+        p = catalog("logistic", r=1)
+        traj = solve(p, SolveConfig(n=4, mode="randomized", seed=np.int64(5)))
+        same = solve(p, SolveConfig(n=4, mode="randomized", seed=5))
+        np.testing.assert_array_equal(traj.endpoints, same.endpoints)
 
     def test_defaults(self):
         cfg = SolveConfig(n=8)
@@ -399,3 +413,57 @@ def test_general_stepper_specializes_to_modified_euler(mode, name):
         states = modified_euler(p, cfg)
         traj = solve(p, cfg)
         np.testing.assert_array_equal(traj.endpoints, states)
+
+
+REFERENCE_CASES = [("logistic", "det_exact"), ("integration-reduction:cos-pi", "quantum_sim")]
+
+
+def residual_levels(monkeypatch, problem, cfg):
+    """Solve, and return each step's count of residual evaluations.
+
+    Only the step's reference integral evaluates the residual in these
+    modes (the simulator is handed the reference), once per panel level.
+    """
+    original = ResidualIntegrand.__call__
+    steps, counts = [], {}
+
+    def counted(self, u):
+        if id(self) not in counts:
+            steps.append(self)
+            counts[id(self)] = 0
+        counts[id(self)] += 1
+        return original(self, u)
+
+    with monkeypatch.context() as m:
+        m.setattr(ResidualIntegrand, "__call__", counted)
+        solve(problem, cfg)
+    return [counts[id(g)] for g in steps]
+
+
+@pytest.mark.parametrize("name,mode", REFERENCE_CASES)
+def test_reference_converges_in_two_levels(monkeypatch, name, mode):
+    """At r = 3, n = 256 the residual's rounding noise exceeds 1e-12, and the
+    reference stops at the rounding level after the 8- and 16-panel levels."""
+    cfg = SolveConfig(n=256, mode=mode, seed=1)
+    levels = residual_levels(monkeypatch, catalog(name, r=3), cfg)
+    assert len(levels) == cfg.n
+    assert max(levels) <= 2
+
+
+@pytest.mark.parametrize("name,mode", REFERENCE_CASES)
+def test_reference_stop_keeps_endpoints_to_rounding(monkeypatch, name, mode):
+    """Against a stepper whose references keep the full-depth 1e-12 rule, the
+    endpoints move by at most ROUNDING_ULPS ulps of each step's increment
+    ``h f(y_i)`` plus one ulp of ``y_i`` per step, and the ledger not at all."""
+    p = catalog(name, r=3)
+    cfg = SolveConfig(n=256, mode=mode, seed=1)
+    fast = solve(p, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "reference_tol", lambda scale, f_y: solver.REFERENCE_TOL)
+        full = solve(p, cfg)
+    h = (p.interval[1] - p.interval[0]) / cfg.n
+    f_max = max(np.max(np.abs(eval_rhs(p, y))) for y in fast.endpoints)
+    y_max = np.max(np.abs(fast.endpoints))
+    bound = cfg.n * np.finfo(float).eps * (solver.ROUNDING_ULPS * h * f_max + y_max)
+    assert np.max(np.abs(fast.endpoints - full.endpoints)) <= bound
+    assert fast.ledger == full.ledger
