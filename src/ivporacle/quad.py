@@ -16,10 +16,10 @@ class with ``r`` derivatives and a ``rho``-Holder top derivative:
     (Chebyshev).  Budget grows like ``eps1 ** (-1 / (r + rho + 1/2))``.
 
 ``quantum_sim``
-    A statistical stand-in for a quantum integration device.  It computes
-    the integral with :func:`integrate_reference`, the one reference
-    quadrature (the solver's exact mode uses it too), and then emits,
-    independently per component, the reference plus uniform noise within
+    A statistical stand-in for a quantum integration device.  It is given
+    the integral, which the caller computes with :func:`integrate_reference`
+    (the one reference quadrature, also the solver's exact mode), and emits,
+    independently per component, that reference plus uniform noise within
     ``eps1`` (probability 3/4) or a disjoint outlier band up to ``10 eps1``
     (probability 1/4).  Queries are charged at the modeled budget
     ``ceil(cost_constant * eps1 ** (-1 / (r + rho + 1)))``, not at the
@@ -193,7 +193,7 @@ def integrate_reference(g, tol: float = 1e-12, max_panels: int = 4096) -> np.nda
 
 
 #: The simulated-quantum oracle's reference is the one reference quadrature;
-#: a caller boosting on one ``g`` computes it once and passes it back in.
+#: the caller computes it once per ``g`` and passes it in.
 quantum_reference = integrate_reference
 
 
@@ -274,7 +274,7 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     return _emit(values, panels * q + nsamples, k)
 
 
-def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] = None,
+def integrate_quantum_sim(g, cfg: OracleConfig, reference: np.ndarray,
                           rng: Optional[np.random.Generator] = None,
                           k: Optional[int] = None) -> IntegralEstimate:
     """Simulated quantum integral oracle.
@@ -283,9 +283,9 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
     is uniform in ``[-eps1, eps1]`` with probability 3/4 and uniform over the
     outlier band ``[-10 eps1, -eps1) u (eps1, 10 eps1]`` otherwise, so a
     single call succeeds at the advertised 3/4 rate and boosting has genuine
-    outliers to suppress.  ``reference`` short-circuits the internal
-    quadrature when the caller already holds it; queries are always charged
-    at the modeled budget.
+    outliers to suppress.  ``reference`` is the integral of ``g``, which
+    the caller computes (the solver with :func:`quantum_reference`), so ``g``
+    itself is not evaluated; queries are charged at the modeled budget.
 
     The draws are one ``(k, dim, 3)`` block from ``rng`` (default
     ``default_rng(config.seed)``; ``k = 1`` for a single call): each
@@ -296,8 +296,6 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: Optional[np.ndarray] 
         raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
     rng, runs = _runs(cfg, rng, k)
     budget = _budget(cfg, 1.0)
-    if reference is None:
-        reference = quantum_reference(g)
     reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
     eps = cfg.eps1
     values = []
@@ -324,8 +322,8 @@ def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEsti
     and merge in index order, so the result does not depend on scheduling.
     ``k = 1`` returns the single run unchanged.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ContractViolationError(f"k must be a positive integer, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ContractViolationError(f"k must be a positive integer, got {k!r}")
     estimates = [run(j) for j in range(k)]
     if k == 1:
         return estimates[0]
@@ -347,7 +345,7 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
     """
     if not 0.0 < delta < 0.5:
         raise ContractViolationError(f"delta must lie in (0, 1/2), got {delta}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ContractViolationError(f"n must be a positive integer, got {n}")
     if not 0 < c < math.inf:
         raise ContractViolationError(f"c must be finite and positive, got {c}")

@@ -5,7 +5,8 @@ One solve on a uniform grid ``x_i = a + i h`` repeats, from the current state
 
 1. fetch ``f`` and its partials at ``y_i`` once into the Taylor map ``w_i``,
    and derive from it the local Taylor piece ``l_i`` (degree ``r+1``);
-2. integrate ``w_i(l_i(t))`` over the step exactly (polynomial calculus);
+2. integrate ``w_i(l_i(t))`` over the step exactly (a Gauss rule exact for
+   its degree);
 3. estimate ``A_i ~ int_0^1 g_i(u) du`` for the scaled residual ``g_i`` with
    the mode's integral oracle at per-step accuracy ``eps1 = h``, boosted by a
    componentwise median for the probabilistic oracles;
@@ -75,7 +76,7 @@ class SolveConfig:
     c: float = 3.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ContractViolationError(f"n must be a positive integer, got {self.n}")
         if self.mode not in MODES:
             raise ContractViolationError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -219,7 +220,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         x_i = a + i * h
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
-        step_integral = integrate_w_of_l(w_i, l_i, x_i, x_i + h)
+        step_integral = integrate_w_of_l(w_i, l_i, h)
         g_i = residual(problem, w_i, l_i, h)
         a_i = mode.correct(g_i, i, run)
 

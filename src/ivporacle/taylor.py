@@ -6,8 +6,8 @@ Per step the solver builds, from derivative-oracle data at the current state
 * ``w`` -- the order ``r`` Taylor expansion of ``f`` around ``y_i``,
 * ``l`` -- the degree ``r+1`` Taylor polynomial of the local solution through
   ``(x_i, y_i)``, with its derivatives read off ``w``,
-* the exact value of ``int w(l(t)) dt`` over the step (polynomial calculus,
-  no sampling), and
+* the exact value of ``int w(l(t)) dt`` over the step (a Gauss rule exact
+  for its degree, no sampling), and
 * the scaled residual ``g(u) = h^-(r+rho) * (f(l(x_i+u h)) - w(l(x_i+u h)))``
   on ``[0, 1]``, whose integral the oracles estimate.
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .problem import CostLedger, IVPProblem, eval_partial, eval_rhs
+from .quad import _gauss_rule
 
 __all__ = [
     "VecPolynomial",
@@ -81,11 +82,6 @@ class VecPolynomial:
         return self.eval_offset(np.asarray(t, dtype=float) - self.center)
 
 
-def _multi_indices(dim: int, order: int):
-    """Sorted index tuples (i1 <= ... <= i_order), one per multi-index."""
-    return itertools.combinations_with_replacement(range(dim), order)
-
-
 def _derivative_tensor(problem: IVPProblem, y: np.ndarray, order: int,
                        ledger: Optional[CostLedger]) -> np.ndarray:
     """Dense symmetric tensor of all order-``order`` partials of ``f`` at ``y``.
@@ -97,7 +93,8 @@ def _derivative_tensor(problem: IVPProblem, y: np.ndarray, order: int,
     d = problem.dim
     tensor = np.empty((d,) * (order + 1), dtype=float)
     for comp in range(d):
-        for idxs in _multi_indices(d, order):
+        # one sorted index tuple (i1 <= ... <= i_order) per distinct partial
+        for idxs in itertools.combinations_with_replacement(range(d), order):
             alpha = [0] * d
             for i in idxs:
                 alpha[i] += 1
@@ -206,59 +203,17 @@ def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = N
     return TaylorMap(center=y, tensors=tuple(tensors))
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
+def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
+    """``int w(l(t)) dt`` over the step of length ``h`` from ``l.center``.
 
-
-def _compose(w: TaylorMap, l: VecPolynomial) -> VecPolynomial:
-    """Exact coefficients of ``t -> w(l(t))`` in the basis of ``l``.
-
-    Works multi-index by multi-index: the order-``j`` term contributes
-    ``multinomial(j, alpha) * tensors[j][comp, alpha] * prod_i q_i^alpha_i``
-    where ``q = l - center`` componentwise.  Degree is at most
-    ``order(w) * degree(l)``.
+    ``w(l(t))`` is a polynomial of degree ``w.order * l.degree``, so the
+    Gauss rule with ``w.order * l.degree // 2 + 1`` nodes integrates it
+    exactly up to rounding; no right-hand-side evaluation is made.
     """
-    d = l.dim
-    # q_i(s) = l_i(s) - center_i; constant coefficient cancels exactly at
-    # the step start because l(x_i) == center.
-    q = [l.coeffs[:, i].copy() for i in range(d)]
-    for i in range(d):
-        q[i][0] = q[i][0] - w.center[i]
-    out_deg = w.order * l.degree
-    out = np.zeros((max(out_deg, 0) + 1, d))
-    out[0] = w.tensors[0]
-    for j in range(1, w.order + 1):
-        tensor = w.tensors[j]
-        for idxs in _multi_indices(d, j):
-            alpha = [0] * d
-            for i in idxs:
-                alpha[i] += 1
-            coeff_mult = math.factorial(j)
-            for a in alpha:
-                coeff_mult //= math.factorial(a)
-            prod = np.array([1.0])
-            for i, a in enumerate(alpha):
-                for _ in range(a):
-                    prod = _poly_mul(prod, q[i])
-            weight = tensor[(slice(None),) + idxs]  # shape (d,)
-            out[: prod.size] += float(coeff_mult) * np.outer(prod, weight)
-    return VecPolynomial(center=l.center, coeffs=out)
-
-
-def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, x_i: float, x_next: float) -> np.ndarray:
-    """Exact ``int_{x_i}^{x_next} w(l(t)) dt`` by polynomial calculus.
-
-    Composes symbolically and integrates monomials in closed form; no
-    right-hand-side evaluations and no quadrature error.
-    """
-    if not x_next > x_i:
-        raise ContractViolationError("integration interval must have positive length")
-    composed = _compose(w, l)
-    h = x_next - x_i
-    total = np.zeros(l.dim)
-    for k in range(composed.degree + 1):
-        total = total + composed.coeffs[k] * (h ** (k + 1) / (k + 1))
-    return total
+    if not h > 0:
+        raise ContractViolationError(f"step size h must be positive, got {h!r}")
+    nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
+    return h * (w(l.eval_offset(nodes * h)) @ weights)
 
 
 @dataclasses.dataclass

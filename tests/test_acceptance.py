@@ -62,7 +62,7 @@ def test_criterion_1_step_identity():
         h = rng.uniform(0.02, 0.2)
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
-        lhs = y + integrate_w_of_l(w, l, x_i, x_i + h) \
+        lhs = y + integrate_w_of_l(w, l, h) \
             + h ** (r + rho + 1.0) * reference_integral(residual(p, w, l, h))
         rhs = y + h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -113,7 +113,7 @@ def test_criterion_3_residual_nullity():
             l = build_l(local_derivatives(w, r + 1), x_i)
             target = reference_integral(residual(p, w, l, h))
             worst_target = max(worst_target, float(np.max(np.abs(target))))
-            y = y + integrate_w_of_l(w, l, x_i, x_i + h)  # A_i dropped entirely
+            y = y + integrate_w_of_l(w, l, h)  # A_i dropped entirely
         traj = solve(p, SolveConfig(n=n, mode="det_exact"))
         worst_step = max(worst_step, float(np.max(np.abs(traj.endpoints[-1] - y))))
     elapsed = time.perf_counter() - t0

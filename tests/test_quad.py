@@ -77,7 +77,7 @@ class TestEstimateAndConfigContracts:
         with pytest.raises(ContractViolationError):
             integrate_randomized(g, det_cfg(0.1))
         with pytest.raises(ContractViolationError):
-            integrate_quantum_sim(g, det_cfg(0.1))
+            integrate_quantum_sim(g, det_cfg(0.1), reference=np.zeros(1))
 
 
 class TestDeterministicOracle:
@@ -175,7 +175,7 @@ class TestRandomizedOracle:
 
 class TestQuantumSimOracle:
     def test_query_budget_formula(self):
-        est = integrate_quantum_sim(lambda u: u, quant_cfg(1e-2, cc=1.0))
+        est = integrate_quantum_sim(lambda u: u, quant_cfg(1e-2, cc=1.0), reference=np.array([0.5]))
         assert est.queries == 10  # ceil(100 ** 0.5)
 
     def test_emission_band_frequency(self):
@@ -203,15 +203,9 @@ class TestQuantumSimOracle:
         assert min(np.abs(outliers)) > eps1
 
     def test_zero_integrand_reference_is_zero(self):
-        est = integrate_quantum_sim(lambda u: 0.0 * u, quant_cfg(1e-2, seed=4))
+        g = lambda u: 0.0 * u
+        est = integrate_quantum_sim(g, quant_cfg(1e-2, seed=4), reference=quantum_reference(g))
         assert abs(est.value[0]) <= 10 * 1e-2
-
-    def test_reference_shortcut_matches_internal(self):
-        g = lambda u: np.sin(u)
-        cfg = quant_cfg(1e-2, seed=21)
-        internal = integrate_quantum_sim(g, cfg)
-        external = integrate_quantum_sim(g, cfg, reference=quantum_reference(g))
-        np.testing.assert_array_equal(internal.value, external.value)
 
     def test_emission_matches_scalar_generator_draws(self):
         # The law drawn value by value with Generator.random/uniform, as a
@@ -245,8 +239,8 @@ class TestQuantumSimOracle:
 
     def test_seed_determinism(self):
         g = lambda u: u ** 2
-        a = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8))
-        b = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8))
+        a = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
+        b = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_components_draw_independently(self, rng):
@@ -257,6 +251,11 @@ class TestQuantumSimOracle:
             est = integrate_quantum_sim(g, quant_cfg(1e-2, seed=seed), reference=ref)
             in_band += np.abs(est.value - ref) <= 1e-2
         assert np.all(in_band / 1000 >= 0.68) and np.all(in_band / 1000 <= 0.82)
+
+
+def reference_kwargs(oracle, g):
+    """The simulator is given its integrand's integral; the other oracles take nothing."""
+    return {"reference": quantum_reference(g)} if oracle is integrate_quantum_sim else {}
 
 
 class TestBatchedRuns:
@@ -270,9 +269,10 @@ class TestBatchedRuns:
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         cfg = make_cfg(1e-2, r=1)
         stream = lambda: np.random.Generator(np.random.Philox(key=[5, 3]))
-        batch = oracle(g, cfg, rng=stream(), k=6)
+        ref = reference_kwargs(oracle, g)
+        batch = oracle(g, cfg, rng=stream(), k=6, **ref)
         gen = stream()
-        singles = [oracle(g, cfg, rng=gen) for _ in range(6)]
+        singles = [oracle(g, cfg, rng=gen, **ref) for _ in range(6)]
         assert batch.value.shape == (6, 2)
         np.testing.assert_array_equal(batch.value, np.stack([e.value for e in singles]))
         assert batch.queries == 6 * singles[0].queries
@@ -285,9 +285,10 @@ class TestBatchedRuns:
         (integrate_quantum_sim, quant_cfg),
     ])
     def test_empty_batch_rejected(self, oracle, make_cfg):
+        g = lambda u: u
         for k in (0, -1, 2.5):
             with pytest.raises(ContractViolationError):
-                oracle(lambda u: u, make_cfg(1e-2), k=k)
+                oracle(g, make_cfg(1e-2), k=k, **reference_kwargs(oracle, g))
 
     @pytest.mark.parametrize("oracle,make_cfg", [
         (integrate_randomized, rand_cfg),
@@ -296,9 +297,10 @@ class TestBatchedRuns:
     def test_default_generator_is_config_seed(self, rng, oracle, make_cfg):
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         cfg = make_cfg(1e-2, r=1, seed=77)
+        ref = reference_kwargs(oracle, g)
         for k in (None, 4):
-            default = oracle(g, cfg, k=k)
-            explicit = oracle(g, cfg, rng=np.random.default_rng(77), k=k)
+            default = oracle(g, cfg, k=k, **ref)
+            explicit = oracle(g, cfg, rng=np.random.default_rng(77), k=k, **ref)
             np.testing.assert_array_equal(default.value, explicit.value)
             assert default.queries == explicit.queries
 
@@ -340,7 +342,7 @@ class TestBoostMedian:
         assert est.value[0] == 0.7
         assert est.queries == 5
 
-    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("k", [0, -2, True])
     def test_invalid_k(self, k):
         with pytest.raises(ContractViolationError):
             boost_median(lambda j: None, k)
@@ -391,8 +393,9 @@ class TestRepetitionsFor:
             repetitions_for(delta, 4)
 
     def test_n_and_c_domains(self):
-        with pytest.raises(ContractViolationError):
-            repetitions_for(0.1, 0)
+        for n in (0, True):
+            with pytest.raises(ContractViolationError):
+                repetitions_for(0.1, n)
         for c in (0.0, math.inf, math.nan):
             with pytest.raises(ContractViolationError):
                 repetitions_for(0.1, 4, c=c)

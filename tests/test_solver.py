@@ -125,7 +125,7 @@ def per_repetition_stepper(problem, cfg):
         est = boost_median(run, k)
         ledger.charge_queries(est.queries)
         ledger.charge_repetitions(k)
-        y = y + integrate_w_of_l(w_i, l_i, x_i, x_i + h) + h ** (r + rho + 1.0) * est.value
+        y = y + integrate_w_of_l(w_i, l_i, h) + h ** (r + rho + 1.0) * est.value
         states.append(y.copy())
     return np.array(states), ledger
 
@@ -147,6 +147,7 @@ class TestSolveConfig:
         dict(n=4, mode="randomized", c=math.inf),
         dict(n=4, mode="quantum_sim", cost_constant=math.inf),
         dict(n=4, cost_constant=math.inf),
+        dict(n=True),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractViolationError):

@@ -1,9 +1,12 @@
-"""Taylor-layer tests: local derivatives, pieces, maps, composition, residual.
+"""Taylor-layer tests: local derivatives, pieces, maps, step integral, residual.
 
 The load-bearing property here is the step identity: the exactly-integrated
 Taylor part plus the rescaled residual integral reproduces the exact integral
 of f along the piece.  Everything else in the solver leans on that algebra.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -173,37 +176,57 @@ class TestIntegrateWofL:
     def test_constant_map_times_length(self):
         w = TaylorMap(center=np.array([1.0]), tensors=(np.array([1.0]),))
         l = build_l([np.array([7.0]), np.array([1.0])], x_i=0.0)
-        assert integrate_w_of_l(w, l, 0.0, 0.1)[0] == pytest.approx(0.1)
+        assert integrate_w_of_l(w, l, 0.1)[0] == pytest.approx(0.1)
 
     def test_identity_map_quadratic_piece(self):
         w = TaylorMap(center=np.array([1.0]), tensors=(np.array([1.0]), np.eye(1)))
         l = build_l([np.array([1.0]), np.array([1.0]), np.array([1.0])], x_i=0.0)
-        got = integrate_w_of_l(w, l, 0.0, 0.1)[0]
+        got = integrate_w_of_l(w, l, 0.1)[0]
         assert got == pytest.approx(0.10516666666666667, abs=1e-16)
 
     def test_zero_piece_zero_integral(self):
         w = TaylorMap(center=np.array([0.0]), tensors=(np.array([0.0]), np.eye(1)))
         l = build_l([np.zeros(1), np.zeros(1)], x_i=0.0)
-        assert integrate_w_of_l(w, l, 0.0, 0.3)[0] == 0.0
+        assert integrate_w_of_l(w, l, 0.3)[0] == 0.0
 
     def test_empty_interval_rejected(self):
         w = TaylorMap(center=np.array([0.0]), tensors=(np.array([1.0]),))
         l = build_l([np.zeros(1)], x_i=0.0)
-        with pytest.raises(ContractViolationError):
-            integrate_w_of_l(w, l, 0.5, 0.5)
+        for h in (0.0, -0.1, math.nan):
+            with pytest.raises(ContractViolationError):
+                integrate_w_of_l(w, l, h)
 
     @pytest.mark.parametrize("name,r", [("scalar-quadratic", 2), ("logistic", 2),
                                         ("integration-reduction:cos-pi", 3)])
     def test_matches_reference_quadrature(self, name, r):
-        """Symbolic composition must agree with brute-force quadrature of w(l(t))."""
+        """The few-node Gauss rule must agree with brute-force quadrature of w(l(t))."""
         p = catalog(name, r=r)
         y = p.eta + 0.1
         x_i, h = p.interval[0], 0.37
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
-        exact = integrate_w_of_l(w, l, x_i, x_i + h)
+        exact = integrate_w_of_l(w, l, h)
         brute = h * reference_integral(lambda u: w(l.eval_offset(u * h)))
         np.testing.assert_allclose(exact, brute, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_full_degree_random_map(self, r, dim):
+        """A dense map and piece make w(l(t)) reach its full degree r(r+1)."""
+        rng = np.random.default_rng(1000 * r + dim)
+        center = rng.uniform(-1.0, 1.0, dim)
+        tensors = [rng.uniform(-1.0, 1.0, dim)]
+        for j in range(1, r + 1):
+            t = rng.uniform(-1.0, 1.0, (dim,) * (j + 1))
+            perms = list(itertools.permutations(range(1, j + 1)))
+            tensors.append(sum(np.transpose(t, (0,) + p) for p in perms) / len(perms))
+        w = TaylorMap(center=center, tensors=tuple(tensors))
+        coeffs = rng.uniform(-1.0, 1.0, (r + 2, dim))
+        coeffs[0] = center
+        l = VecPolynomial(center=0.3, coeffs=coeffs)
+        h = 0.9
+        brute = h * reference_integral(lambda u: w(l.eval_offset(u * h)))
+        np.testing.assert_allclose(integrate_w_of_l(w, l, h), brute, rtol=1e-13, atol=0.0)
 
 
 class TestResidual:
@@ -260,7 +283,7 @@ def test_step_identity_against_reference(name, r, rho):
         h = rng.uniform(0.05, 0.2)
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
-        taylor_part = integrate_w_of_l(w, l, x_i, x_i + h)
+        taylor_part = integrate_w_of_l(w, l, h)
         g = residual(p, w, l, h)
         lhs = taylor_part + h ** (r + rho + 1.0) * reference_integral(g)
         rhs = h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
