@@ -178,10 +178,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
         try:
             traj = solve(problem, scfg)
             ledger = traj.ledger
-            if problem.reference is not None:
-                err_value = sup_error(traj, problem.reference, config.samples_per_step)
-            else:
-                err_flag = "no-reference"
+            err_value = sup_error(traj, problem.reference, config.samples_per_step)
         except (DivergenceError, StationaryStartError) as exc:
             err_flag = (f"divergence:step={exc.step}" if isinstance(exc, DivergenceError)
                         else "stationary-start")

@@ -6,6 +6,11 @@ oracle that serves values and partial derivatives of ``f`` up to order ``r``.
 Everything downstream (local Taylor models, integral oracles, the stepper)
 talks to the right-hand side exclusively through that oracle, and all
 evaluation costs are tallied on a :class:`CostLedger`.
+
+The named problems of :func:`catalog` are data: a scalar entry is one row of
+``f``, its derivatives, its closed-form solution and its defaults, and an
+integrand of ``integration-reduction`` is one row of ``g``, its derivatives
+and its antiderivative; one builder per shape turns a row into a problem.
 """
 
 from __future__ import annotations
@@ -221,139 +226,85 @@ def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = 
 # catalog
 
 
-def _scalar_exponential(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
-    # z' = z.
-    def oracle(y, component, alpha):
-        order = sum(alpha)
-        if order == 0:
-            return y[0]
-        if order == 1:
-            return np.ones_like(y[0])
-        return np.zeros_like(y[0])
+#: Scalar entries ``z' = f(z)``, one row each: ``f`` and its derivatives up to
+#: ``MAX_ORDER`` as functions of the state, the solution as a function of
+#: ``(eta, t - a)``, and the default ``eta`` and interval.
+_SCALAR_ROWS = {
+    "scalar-exponential": (
+        (lambda z: z, np.ones_like, np.zeros_like, np.zeros_like),
+        lambda eta, s: eta * math.exp(s),
+        1.0, (0.0, 1.0),
+    ),
+    # blow-up at t = a + 1/eta; the default [0, 0.5] keeps the solution inside [1, 2]
+    "scalar-quadratic": (
+        (lambda z: z * z, lambda z: 2.0 * z, lambda z: 2.0 * np.ones_like(z), np.zeros_like),
+        lambda eta, s: eta / (1.0 - eta * s),
+        1.0, (0.0, 0.5),
+    ),
+    # z(1 - z) has degree 2, so the residual vanishes for r >= 2
+    "logistic": (
+        (lambda z: z * (1.0 - z), lambda z: 1.0 - 2.0 * z, lambda z: -2.0 * np.ones_like(z), np.zeros_like),
+        lambda eta, s: 1.0 / (1.0 + (1.0 / eta - 1.0) * math.exp(-s)),
+        0.2, (0.0, 1.0),
+    ),
+}
 
-    a = interval[0]
-
-    def reference(t):
-        return np.array([eta * math.exp(t - a)])
-
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
-                      smoothness=smooth, reference=reference, name="scalar-exponential")
-
-
-def _scalar_quadratic(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
-    # z' = z^2 with blow-up at t = a + 1/eta; the default [0, 0.5] keeps the
-    # solution inside [1, 2].
-    def oracle(y, component, alpha):
-        order = sum(alpha)
-        if order == 0:
-            return y[0] * y[0]
-        if order == 1:
-            return 2.0 * y[0]
-        if order == 2:
-            return 2.0 * np.ones_like(y[0])
-        return np.zeros_like(y[0])
-
-    a = interval[0]
-
-    def reference(t):
-        return np.array([eta / (1.0 - eta * (t - a))])
-
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
-                      smoothness=smooth, reference=reference, name="scalar-quadratic")
+#: Integrands of ``integration-reduction:<key>``, one row each: ``g`` and its
+#: derivatives up to ``MAX_ORDER``, and ``G(u) = int_0^u g``.
+_G_REGISTRY = {
+    "cos-pi": (
+        (lambda u: np.cos(np.pi * u), lambda u: -np.pi * np.sin(np.pi * u),
+         lambda u: -np.pi * np.pi * np.cos(np.pi * u), lambda u: np.pi ** 3 * np.sin(np.pi * u)),
+        lambda u: np.sin(np.pi * u) / np.pi,
+    ),
+}
 
 
-def _logistic(smooth: HolderSmoothness, eta: float, interval: tuple[float, float]) -> IVPProblem:
-    # z' = z(1 - z); polynomial of degree 2, so the residual vanishes for r >= 2.
-    def oracle(y, component, alpha):
-        order = sum(alpha)
-        if order == 0:
-            return y[0] * (1.0 - y[0])
-        if order == 1:
-            return 1.0 - 2.0 * y[0]
-        if order == 2:
-            return -2.0 * np.ones_like(y[0])
-        return np.zeros_like(y[0])
-
-    a = interval[0]
-    if eta == 0.0:
-        raise DomainError("logistic eta must be nonzero")
-    c = 1.0 / eta - 1.0
-
-    def reference(t):
-        return np.array([1.0 / (1.0 + c * math.exp(-(t - a)))])
-
-    return IVPProblem(dim=1, interval=interval, eta=np.array([eta]), rhs_oracle=oracle,
-                      smoothness=smooth, reference=reference, name="logistic")
+def _scalar(name: str, key: str, smooth: HolderSmoothness, eta: tuple[float],
+            interval: tuple[float, float]) -> IVPProblem:
+    # Row ``name`` of _SCALAR_ROWS; ``alpha`` has one entry, the order.
+    derivs, solution, _, _ = _SCALAR_ROWS[name]
+    eta0, a = eta[0], interval[0]
+    # a closed form that divides by zero at t = a (logistic from 0) has no reference
+    try:
+        solution(eta0, 0.0)
+    except ZeroDivisionError:
+        raise DomainError(f"{name} has no closed-form solution from eta = {eta0!r}") from None
+    return IVPProblem(dim=1, interval=interval, eta=np.array(eta),
+                      rhs_oracle=lambda y, component, alpha: derivs[alpha[0]](y[0]), smoothness=smooth,
+                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name)
 
 
-@dataclasses.dataclass(frozen=True)
-class GBundle:
-    """Scalar integrand ``g`` with its derivatives and antiderivative.
-
-    ``derivs[k]`` evaluates ``g^(k)``; ``antideriv`` evaluates
-    ``G(t) = int_0^t g``.
-    """
-
-    derivs: tuple[Callable, ...]
-    antideriv: Callable
-    label: str = "custom-g"
-
-
-def _cos_pi_bundle() -> GBundle:
-    pi = math.pi
-    return GBundle(
-        derivs=(
-            lambda u: np.cos(pi * u),
-            lambda u: -pi * np.sin(pi * u),
-            lambda u: -pi * pi * np.cos(pi * u),
-            lambda u: pi ** 3 * np.sin(pi * u),
-        ),
-        antideriv=lambda t: np.sin(pi * t) / pi,
-        label="cos-pi",
-    )
-
-
-_G_REGISTRY: dict[str, Callable[[], GBundle]] = {"cos-pi": _cos_pi_bundle}
-
-
-def _integration_reduction(smooth: HolderSmoothness, eta: tuple[float, float],
-                           interval: tuple[float, float], g: Optional[GBundle]) -> IVPProblem:
+def _integration_reduction(name: str, key: str, smooth: HolderSmoothness, eta: tuple[float, float],
+                           interval: tuple[float, float]) -> IVPProblem:
     # u' = 1, v' = g(u): solving this IVP computes int_0^t g, which makes the
     # solver directly comparable against plain quadrature.
-    bundle = g if g is not None else _cos_pi_bundle()
-    if len(bundle.derivs) < smooth.r + 1:
-        raise ContractViolationError(f"g bundle has {len(bundle.derivs)} derivatives, need {smooth.r + 1}")
-
-    derivs = bundle.derivs
+    if key not in _G_REGISTRY:
+        raise UnknownProblemError(f"unknown integrand key {key!r}; known: {', '.join(_G_REGISTRY)}")
+    derivs, anti = _G_REGISTRY[key]
 
     def oracle(y, component, alpha):
-        order = sum(alpha)
         if component == 0:
-            if order == 0:
-                return np.ones_like(y[0])
-            return np.zeros_like(y[0])
+            return np.ones_like(y[0]) if sum(alpha) == 0 else np.zeros_like(y[0])
         if alpha[1] > 0:
             return np.zeros_like(y[0])
-        return derivs[order](y[0])
+        return derivs[alpha[0]](y[0])
 
     a = interval[0]
-    anti = bundle.antideriv
     u0, v0 = eta
 
     def reference(t):
         return np.array([u0 + (t - a), v0 + anti(u0 + (t - a)) - anti(u0)])
 
     return IVPProblem(dim=2, interval=interval, eta=np.array(eta), rhs_oracle=oracle,
-                      smoothness=smooth, reference=reference,
-                      name=f"integration-reduction:{bundle.label}")
+                      smoothness=smooth, reference=reference, name=f"{name}:{key}")
 
 
-#: Default ``(eta, interval)`` per entry; ``eta`` lists one value per component.
-_DEFAULTS = {
-    "scalar-exponential": ((1.0,), (0.0, 1.0)),
-    "scalar-quadratic": ((1.0,), (0.0, 0.5)),
-    "logistic": ((0.2,), (0.0, 1.0)),
-    "integration-reduction": ((0.0, 0.0), (0.0, 1.0)),
+#: Every entry: its builder, default ``eta`` (one value per component) and
+#: default interval.
+_CATALOG = {
+    **{name: (_scalar, (eta,), interval) for name, (_, _, eta, interval) in _SCALAR_ROWS.items()},
+    "integration-reduction": (_integration_reduction, (0.0, 0.0), (0.0, 1.0)),
 }
 
 
@@ -369,44 +320,26 @@ def _numbers(name: str, value, count: int) -> tuple[float, ...]:
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_DEFAULTS)
+    return tuple(_CATALOG)
 
 
-def catalog(
-    name: str,
-    *,
-    r: int = 0,
-    rho: float = 1.0,
-    eta=None,
-    interval: Optional[tuple[float, float]] = None,
-    g: Optional[GBundle] = None,
-) -> IVPProblem:
+def catalog(name: str, *, r: int = 0, rho: float = 1.0, eta=None,
+            interval: Optional[tuple[float, float]] = None) -> IVPProblem:
     """Construct a named benchmark problem.
 
     ``name`` is one of ``scalar-exponential``, ``scalar-quadratic``,
-    ``logistic`` or ``integration-reduction``; the latter accepts an optional
-    ``g`` bundle (default: ``cos(pi u)``) and may be written
-    ``integration-reduction:cos-pi`` to pick a registered integrand by key.
+    ``logistic`` or ``integration-reduction``; the latter integrates
+    ``cos(pi u)`` and may be written ``integration-reduction:<key>`` to pick
+    a registered integrand by key (``cos-pi`` is the default).
     ``r``/``rho`` declare the class ``(r, rho)`` the solver should exploit;
     ``eta`` (a number, or one value per component) and ``interval`` (two
     numbers) override the entry defaults.
     """
     smooth = HolderSmoothness(r=r, rho=rho)
-    base, g_key = name.split(":", 1) if ":" in name else (name, None)
-    if base not in _DEFAULTS:
-        raise UnknownProblemError(f"unknown problem {name!r}; known: {', '.join(_DEFAULTS)}")
-    default_eta, default_interval = _DEFAULTS[base]
+    base, key = name.split(":", 1) if ":" in name else (name, "cos-pi")
+    if base not in _CATALOG:
+        raise UnknownProblemError(f"unknown problem {name!r}; known: {', '.join(_CATALOG)}")
+    build, default_eta, default_interval = _CATALOG[base]
     eta = _numbers("eta", default_eta if eta is None else eta, len(default_eta))
     interval = _numbers("interval", default_interval if interval is None else interval, 2)
-
-    if base == "scalar-exponential":
-        return _scalar_exponential(smooth, eta[0], interval)
-    if base == "scalar-quadratic":
-        return _scalar_quadratic(smooth, eta[0], interval)
-    if base == "logistic":
-        return _logistic(smooth, eta[0], interval)
-    if g_key is not None:
-        if g_key not in _G_REGISTRY:
-            raise UnknownProblemError(f"unknown integrand key {g_key!r}; known: {', '.join(_G_REGISTRY)}")
-        g = _G_REGISTRY[g_key]()
-    return _integration_reduction(smooth, eta, interval, g)
+    return build(base, key, smooth, eta, interval)

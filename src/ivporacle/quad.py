@@ -128,6 +128,13 @@ def check_seed(seed) -> None:
         raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
 
 
+def check_count(name: str, value) -> int:
+    """``value`` as an ``int``; it must be an ``int`` or ``np.integer`` (bool excluded), at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ContractViolationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _eval(g, u: np.ndarray) -> np.ndarray:
     """Evaluate an integrand on a batch, normalizing the result to (dim, m)."""
     out = np.asarray(g(np.asarray(u, dtype=float)), dtype=float)
@@ -169,21 +176,23 @@ def _panel_gauss(g, panels: int, q: int) -> np.ndarray:
     return np.einsum("dpq,q->d", vals, w_ref) / panels
 
 
-def integrate_reference(g, tol: float = 1e-12, max_panels: int = 4096) -> np.ndarray:
+#: Panels of the reference quadrature's last level.
+REFERENCE_MAX_PANELS = 4096
+
+
+def integrate_reference(g, tol: float = 1e-12) -> np.ndarray:
     """High-accuracy reference integral by panel-doubling composite Gauss.
 
     A 16-point rule on 8, 16, 32, ... panels stops once two successive levels
     agree to ``tol`` (finite, positive) in the max norm; a ``tol`` below the
-    rounding error of ``g``'s values runs to ``max_panels`` (at least 16),
+    rounding error of ``g``'s values runs to ``REFERENCE_MAX_PANELS`` panels,
     whose estimate is returned as-is.
     """
     if not 0 < tol < math.inf:
         raise ContractViolationError(f"tol must be finite and positive, got {tol!r}")
-    if max_panels < 16:
-        raise ContractViolationError(f"max_panels must be at least 16, got {max_panels!r}")
     prev = _panel_gauss(g, 8, 16)
     panels = 16
-    while panels <= max_panels:
+    while panels <= REFERENCE_MAX_PANELS:
         cur = _panel_gauss(g, panels, 16)
         if np.max(np.abs(cur - prev)) <= tol:
             return cur
@@ -221,9 +230,8 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
 
 def _runs(cfg: OracleConfig, rng, k: Optional[int]) -> tuple[np.random.Generator, int]:
     """The generator to draw from and the number of runs, 1 for a single call."""
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-        raise ContractViolationError(f"k must be a positive integer, got {k!r}")
-    return (np.random.default_rng(cfg.seed) if rng is None else rng), (1 if k is None else k)
+    k = 1 if k is None else check_count("k", k)
+    return (np.random.default_rng(cfg.seed) if rng is None else rng), k
 
 
 def _emit(values: np.ndarray, per_call: int, k: Optional[int]) -> IntegralEstimate:
@@ -322,8 +330,7 @@ def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEsti
     and merge in index order, so the result does not depend on scheduling.
     ``k = 1`` returns the single run unchanged.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ContractViolationError(f"k must be a positive integer, got {k!r}")
+    k = check_count("k", k)
     estimates = [run(j) for j in range(k)]
     if k == 1:
         return estimates[0]
@@ -345,8 +352,7 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
     """
     if not 0.0 < delta < 0.5:
         raise ContractViolationError(f"delta must lie in (0, 1/2), got {delta}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ContractViolationError(f"n must be a positive integer, got {n}")
+    n = check_count("n", n)
     if not 0 < c < math.inf:
         raise ContractViolationError(f"c must be finite and positive, got {c}")
     per_step_failure = 1.0 - (1.0 - delta) ** (1.0 / n)

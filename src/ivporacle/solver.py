@@ -33,6 +33,7 @@ from .quad import (  # noqa: F401
     IntegralEstimate,
     OracleConfig,
     boost_median,
+    check_count,
     check_seed,
     derive_seed,
     integrate_deterministic,
@@ -76,8 +77,7 @@ class SolveConfig:
     c: float = 3.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ContractViolationError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", check_count("n", self.n))
         if self.mode not in MODES:
             raise ContractViolationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 < self.delta < 0.5:

@@ -1,5 +1,7 @@
 """Problem-layer tests: smoothness declarations, cost ledger, oracle access, catalog."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from ivporacle import (
     eval_partial,
     eval_rhs,
 )
+from ivporacle.problem import _G_REGISTRY
 
 
 def make_smoothness(r=1, rho=1.0):
@@ -157,6 +160,31 @@ def test_reference_satisfies_ode(name):
         lhs = (np.asarray(p.reference(t + dt)) - np.asarray(p.reference(t - dt))) / (2 * dt)
         rhs = eval_rhs(p, np.asarray(p.reference(t)))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-7)
+
+
+def _multi_indices(dim, order):
+    return [alpha for alpha in itertools.product(range(order + 1), repeat=dim) if sum(alpha) == order]
+
+
+# every catalog row and every registered integrand serves consistent partials
+@pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+def test_derivative_tables_match_central_differences(name):
+    p = catalog(name, r=3)
+    a, b = p.interval
+    states = [np.asarray(p.reference(a + frac * (b - a))) for frac in (0.3, 0.55, 0.8)]
+    d = 1e-5
+    for y, component, order in itertools.product(states, range(p.dim), (1, 2, 3)):
+        for alpha in _multi_indices(p.dim, order):
+            # central difference of the partial one order below, along a variable alpha uses
+            i = next(k for k, ak in enumerate(alpha) if ak)
+            parent = tuple(ak - (k == i) for k, ak in enumerate(alpha))
+            step = d * np.eye(p.dim)[i]
+            diff = (eval_partial(p, y + step, component, parent)
+                    - eval_partial(p, y - step, component, parent)) / (2 * d)
+            np.testing.assert_allclose(eval_partial(p, y, component, alpha), diff, rtol=1e-6,
+                                       err_msg=f"{name}: component {component}, alpha {alpha}, y {y}")
+    np.testing.assert_array_equal(eval_rhs(p, np.stack(states, axis=1)),
+                                  np.stack([eval_rhs(p, y) for y in states], axis=1))
 
 
 _FLOATS = st.sampled_from([0.0, 1.0, 1.5, 0.5, -0.25, 1e-300, 1e300, np.inf, -np.inf, np.nan])

@@ -148,6 +148,7 @@ class TestSolveConfig:
         dict(n=4, mode="quantum_sim", cost_constant=math.inf),
         dict(n=4, cost_constant=math.inf),
         dict(n=True),
+        dict(n=np.int64(0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
@@ -164,6 +165,7 @@ class TestSolveConfig:
         cfg = SolveConfig(n=8)
         assert cfg.mode == "det_exact"
         assert cfg.delta == 0.1
+        assert SolveConfig(n=np.int64(8)) == cfg and type(SolveConfig(n=np.int64(8)).n) is int
 
 
 class TestSolveBasics:
