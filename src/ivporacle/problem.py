@@ -1,16 +1,18 @@
 """Problem definitions for autonomous initial value problems.
 
 A problem is the ODE ``z'(t) = f(z(t))`` on ``[a, b]`` with ``z(a) = eta``,
-together with the declared smoothness class ``(r, rho)`` of ``f`` and an
-oracle that serves values and partial derivatives of ``f`` up to order ``r``.
+together with the declared smoothness class ``(r, rho)`` of ``f``, an
+oracle that serves values and partial derivatives of ``f`` up to order ``r``
+and, optionally, a jet that serves all of them at one point in one call.
 Everything downstream (local Taylor models, integral oracles, the stepper)
-talks to the right-hand side exclusively through that oracle, and all
+talks to the right-hand side exclusively through these two, and all
 evaluation costs are tallied on a :class:`CostLedger`.
 
 The named problems of :func:`catalog` are data: a scalar entry is one row of
 ``f``, its derivatives, its closed-form solution and its defaults, and an
 integrand of ``integration-reduction`` is one row of ``g``, its derivatives
-and its antiderivative; one builder per shape turns a row into a problem.
+and its antiderivative; one builder per shape turns a row into a problem,
+whose oracle and jet both read the row.
 """
 
 from __future__ import annotations
@@ -119,13 +121,21 @@ class CostLedger:
 #: shape ``(dim, m)`` and return shape ``(m,)``.
 RhsOracle = Callable[[np.ndarray, int, tuple[int, ...]], "float | np.ndarray"]
 
+#: Jet signature: ``jet(y, r) -> (T_0, ..., T_r)`` with ``T_j = f^(j)(y) / j!``
+#: of shape ``(dim,) * (j + 1)``, component axis first, every index
+#: permutation filled: the whole order-``r`` Taylor data at one point ``(dim,)``.
+Jet = Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
+
 
 @dataclasses.dataclass(frozen=True)
 class IVPProblem:
     """An autonomous initial value problem with derivative-oracle access.
 
-    Instances are immutable; solves never mutate the problem, only their own
-    private :class:`CostLedger`.
+    ``jet``, when given, serves in one call the same partials as
+    ``rhs_oracle``, bit for bit; :func:`~ivporacle.taylor.build_w` then uses
+    it in place of one oracle call per partial.  Instances are immutable;
+    solves never mutate the problem, only their own private
+    :class:`CostLedger`.
     """
 
     dim: int
@@ -135,6 +145,7 @@ class IVPProblem:
     smoothness: HolderSmoothness
     reference: Optional[Callable[[float], np.ndarray]] = None
     name: str = "custom"
+    jet: Optional[Jet] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -154,10 +165,12 @@ class IVPProblem:
         object.__setattr__(self, "eta", eta)
 
 
-def _check_point(problem: IVPProblem, y: np.ndarray) -> np.ndarray:
+def _check_point(problem: IVPProblem, y: np.ndarray, batch: bool = False) -> np.ndarray:
+    """``y`` as a float point ``(dim,)`` or, with ``batch``, also ``(dim, m)``."""
     y = np.asarray(y, dtype=float)
-    if y.shape[0] != problem.dim:
-        raise ContractViolationError(f"point has {y.shape[0]} components, problem has {problem.dim}")
+    if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[0] != problem.dim:
+        allowed = f"({problem.dim},) or ({problem.dim}, m)" if batch else f"({problem.dim},)"
+        raise ContractViolationError(f"point must have shape {allowed}, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DomainError("evaluation point must be finite")
     return y
@@ -211,7 +224,7 @@ def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = 
     ``(dim, m)`` and returns the matching shape.  Charges one classical
     evaluation of ``f`` per point.
     """
-    y = _check_point(problem, y)
+    y = _check_point(problem, y, batch=True)
     zero = (0,) * problem.dim
     npoints = 1 if y.ndim == 1 else y.shape[1]
     if ledger is not None:
@@ -260,9 +273,11 @@ _G_REGISTRY = {
 }
 
 
-def _scalar(name: str, key: str, smooth: HolderSmoothness, eta: tuple[float],
+def _scalar(name: str, key: Optional[str], smooth: HolderSmoothness, eta: tuple[float],
             interval: tuple[float, float]) -> IVPProblem:
     # Row ``name`` of _SCALAR_ROWS; ``alpha`` has one entry, the order.
+    if key is not None:
+        raise UnknownProblemError(f"{name} takes no ':<key>', got {name}:{key}")
     derivs, solution, _, _ = _SCALAR_ROWS[name]
     eta0, a = eta[0], interval[0]
     # a closed form that divides by zero at t = a (logistic from 0) has no reference
@@ -270,15 +285,21 @@ def _scalar(name: str, key: str, smooth: HolderSmoothness, eta: tuple[float],
         solution(eta0, 0.0)
     except ZeroDivisionError:
         raise DomainError(f"{name} has no closed-form solution from eta = {eta0!r}") from None
+
+    def jet(y, r):
+        z = y[0]
+        return tuple(np.full((1,) * (j + 1), derivs[j](z) / math.factorial(j)) for j in range(r + 1))
+
     return IVPProblem(dim=1, interval=interval, eta=np.array(eta),
                       rhs_oracle=lambda y, component, alpha: derivs[alpha[0]](y[0]), smoothness=smooth,
-                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name)
+                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name, jet=jet)
 
 
-def _integration_reduction(name: str, key: str, smooth: HolderSmoothness, eta: tuple[float, float],
-                           interval: tuple[float, float]) -> IVPProblem:
+def _integration_reduction(name: str, key: Optional[str], smooth: HolderSmoothness,
+                           eta: tuple[float, float], interval: tuple[float, float]) -> IVPProblem:
     # u' = 1, v' = g(u): solving this IVP computes int_0^t g, which makes the
     # solver directly comparable against plain quadrature.
+    key = "cos-pi" if key is None else key
     if key not in _G_REGISTRY:
         raise UnknownProblemError(f"unknown integrand key {key!r}; known: {', '.join(_G_REGISTRY)}")
     derivs, anti = _G_REGISTRY[key]
@@ -290,14 +311,24 @@ def _integration_reduction(name: str, key: str, smooth: HolderSmoothness, eta: t
             return np.zeros_like(y[0])
         return derivs[alpha[0]](y[0])
 
+    def jet(y, r):
+        # only d^j v' / du^j is nonzero beyond the constant u' = 1
+        u = y[0]
+        tensors = [np.array([1.0, derivs[0](u)])]
+        for j in range(1, r + 1):
+            t = np.zeros((2,) * (j + 1))
+            t[(1,) + (0,) * j] = derivs[j](u) / math.factorial(j)
+            tensors.append(t)
+        return tuple(tensors)
+
     a = interval[0]
     u0, v0 = eta
 
     def reference(t):
         return np.array([u0 + (t - a), v0 + anti(u0 + (t - a)) - anti(u0)])
 
-    return IVPProblem(dim=2, interval=interval, eta=np.array(eta), rhs_oracle=oracle,
-                      smoothness=smooth, reference=reference, name=f"{name}:{key}")
+    return IVPProblem(dim=2, interval=interval, eta=np.array(eta), rhs_oracle=oracle, smoothness=smooth,
+                      reference=reference, name=f"{name}:{key}", jet=jet)
 
 
 #: Every entry: its builder, default ``eta`` (one value per component) and
@@ -330,13 +361,14 @@ def catalog(name: str, *, r: int = 0, rho: float = 1.0, eta=None,
     ``name`` is one of ``scalar-exponential``, ``scalar-quadratic``,
     ``logistic`` or ``integration-reduction``; the latter integrates
     ``cos(pi u)`` and may be written ``integration-reduction:<key>`` to pick
-    a registered integrand by key (``cos-pi`` is the default).
+    a registered integrand by key (``cos-pi`` is the default).  A ``:<key>``
+    on a scalar entry raises :class:`UnknownProblemError`.
     ``r``/``rho`` declare the class ``(r, rho)`` the solver should exploit;
     ``eta`` (a number, or one value per component) and ``interval`` (two
     numbers) override the entry defaults.
     """
     smooth = HolderSmoothness(r=r, rho=rho)
-    base, key = name.split(":", 1) if ":" in name else (name, "cos-pi")
+    base, key = name.split(":", 1) if ":" in name else (name, None)
     if base not in _CATALOG:
         raise UnknownProblemError(f"unknown problem {name!r}; known: {', '.join(_CATALOG)}")
     build, default_eta, default_interval = _CATALOG[base]

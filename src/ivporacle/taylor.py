@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .problem import CostLedger, IVPProblem, eval_partial, eval_rhs
+from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs
 from .quad import _gauss_rule
 
 __all__ = [
@@ -193,10 +193,21 @@ class TaylorMap:
 
 
 def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = None) -> TaylorMap:
-    """Order ``r`` Taylor map of ``f`` around ``y``: the one place a step
-    fetches (and charges) ``f`` and its partials, each distinct one once."""
+    """Order ``r`` Taylor map of ``f`` around a point ``y`` of shape ``(dim,)``:
+    the one place a step fetches (and charges) ``f`` and its partials, each
+    distinct one once.
+
+    With ``problem.jet`` the data comes from one jet call, charged by count:
+    ``f`` once and ``dim * C(dim + j - 1, j)`` partials of each order ``j``.
+    Without it, from ``f(y)`` and one oracle call per distinct partial.
+    """
     r = problem.smoothness.r
-    y = np.asarray(y, dtype=float)
+    y = _check_point(problem, y)
+    if problem.jet is not None:
+        d = problem.dim
+        if ledger is not None:
+            ledger.charge_classical(1 + sum(d * math.comb(d + j - 1, j) for j in range(1, r + 1)))
+        return TaylorMap(center=y, tensors=tuple(problem.jet(y, r)))
     tensors = [eval_rhs(problem, y, ledger)]
     for j in range(1, r + 1):
         tensors.append(_derivative_tensor(problem, y, j, ledger) / math.factorial(j))

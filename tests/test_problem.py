@@ -1,5 +1,6 @@
 """Problem-layer tests: smoothness declarations, cost ledger, oracle access, catalog."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from ivporacle import (
     HolderSmoothness,
     IVPProblem,
     UnknownProblemError,
+    build_w,
     catalog,
     catalog_names,
     eval_partial,
@@ -148,6 +150,39 @@ class TestEvalRhs:
         assert ledger.classical_evals == 5
 
 
+#: Each user of a point, called on problem ``p`` and point ``y``.
+_POINT_USERS = {
+    "eval_rhs": lambda p, y: eval_rhs(p, y),
+    "eval_partial": lambda p, y: eval_partial(p, y, 0, (0,) * p.dim),
+    "build_w": lambda p, y: build_w(p, y),
+    "build_w without jet": lambda p, y: build_w(dataclasses.replace(p, jet=None), y),
+}
+
+
+@pytest.mark.parametrize("user,name,shape", [
+    (user, name, shape)
+    for user in _POINT_USERS
+    for name, shape in [("logistic", ()), ("logistic", (1, 1, 1)), ("logistic", (2,)),
+                        ("integration-reduction", (1,)), ("integration-reduction", (3, 4)),
+                        ("integration-reduction", (2, 2, 2))]
+] + [(user, name, shape) for user in ("eval_partial", "build_w", "build_w without jet")
+     for name, shape in [("logistic", (1, 1)), ("integration-reduction", (2, 1))]])
+def test_bad_point_shape_raises_typed_error(user, name, shape):
+    """A point is (dim,); only eval_rhs also takes a batch (dim, m)."""
+    with pytest.raises(ContractViolationError, match="shape"):
+        _POINT_USERS[user](catalog(name, r=1), np.full(shape, 0.3))
+
+
+@pytest.mark.parametrize("user", _POINT_USERS)
+def test_point_shapes_accepted(user):
+    p = catalog("integration-reduction", r=1)
+    _POINT_USERS[user](p, np.full(2, 0.3))
+    _POINT_USERS[user](p, [0.3, 0.3])
+    if user == "eval_rhs":
+        assert eval_rhs(p, np.full((2, 4), 0.3)).shape == (2, 4)
+        assert eval_rhs(p, np.full((2, 0), 0.3)).shape == (2, 0)
+
+
 # reference solutions must actually solve the ODE they are sold with
 @pytest.mark.parametrize("name", ["scalar-exponential", "scalar-quadratic", "logistic",
                                   "integration-reduction:cos-pi"])
@@ -254,6 +289,15 @@ class TestCatalog:
     def test_unknown_integrand_key(self):
         with pytest.raises(UnknownProblemError):
             catalog("integration-reduction:sin-2pi")
+
+    @pytest.mark.parametrize("name", ["logistic:cos-pi", "scalar-exponential:bogus", "scalar-quadratic:",
+                                      "integration-reduction:"])
+    def test_unknown_key_rejected(self, name):
+        with pytest.raises(UnknownProblemError):
+            catalog(name)
+
+    def test_bare_integration_reduction_uses_cos_pi(self):
+        assert catalog("integration-reduction").name == "integration-reduction:cos-pi"
 
     @pytest.mark.parametrize("eta", [0.4, np.array([0.4]), [0.4]])
     def test_scalar_eta_as_number_or_one_element_array(self, eta):

@@ -9,6 +9,7 @@ all drawing in turn from the step's ``Philox`` stream keyed by (seed, step),
 and the batched stepper must match it bit for bit and ledger for ledger.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from ivporacle import (
     build_l,
     build_w,
     catalog,
+    catalog_names,
     eval_rhs,
     eval_trajectory,
     integrate_deterministic,
@@ -44,6 +46,7 @@ from ivporacle import (
     sup_error,
 )
 from ivporacle import solver
+from ivporacle.problem import _G_REGISTRY
 from ivporacle.solver import reference_tol
 
 
@@ -394,6 +397,19 @@ def test_batched_boosting_matches_per_repetition_runs(mode, name, r):
         traj = solve(p, cfg)
         np.testing.assert_array_equal(traj.endpoints, states)
         assert traj.ledger == ledger
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+def test_jet_and_per_partial_solves_are_identical(mode, name):
+    """Dropping the jet changes nothing: same states, pieces and ledger."""
+    for r in range(4):
+        p = catalog(name, r=r)
+        cfg = SolveConfig(n=9, mode=mode, seed=5)
+        with_jet, without = solve(p, cfg), solve(dataclasses.replace(p, jet=None), cfg)
+        assert with_jet.endpoints.tobytes() == without.endpoints.tobytes()
+        assert [q.coeffs.tobytes() for q in with_jet.pieces] == [q.coeffs.tobytes() for q in without.pieces]
+        assert with_jet.ledger == without.ledger
 
 
 @pytest.mark.parametrize("mode", MODES)

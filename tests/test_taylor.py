@@ -5,6 +5,7 @@ Taylor part plus the rescaled residual integral reproduces the exact integral
 of f along the piece.  Everything else in the solver leans on that algebra.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -19,11 +20,14 @@ from ivporacle import (
     build_l,
     build_w,
     catalog,
+    catalog_names,
     eval_rhs,
     integrate_w_of_l,
     local_derivatives,
     residual,
 )
+from ivporacle.problem import _G_REGISTRY
+from ivporacle.taylor import _derivative_tensor
 from conftest import reference_integral
 
 
@@ -170,6 +174,32 @@ class TestBuildW:
         batch = w(ys)
         single = np.stack([w(ys[:, j]) for j in range(6)], axis=1)
         np.testing.assert_array_equal(batch, single)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+# every catalog row and every registered integrand serves its jet
+@pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_jet_matches_per_partial_path_bit_for_bit(name, r):
+    """The jet gives the tensors eval_rhs and one oracle call per partial
+    give, and build_w charges what the per-partial path charges."""
+    p = catalog(name, r=r)
+    per_partial = dataclasses.replace(p, jet=None)
+    a, b = p.interval
+    points = [np.asarray(p.reference(a + frac * (b - a))) for frac in (0.0, 0.4, 1.0)]
+    points += [np.full(p.dim, c) for c in (-1.3, 0.0, 2.9)]
+    for y in points:
+        want = [eval_rhs(p, y)] + [_derivative_tensor(p, y, j, None) / math.factorial(j)
+                                   for j in range(1, r + 1)]
+        assert [_bits(t) for t in p.jet(y, r)] == [_bits(t) for t in want]
+        ledger, per_partial_ledger = CostLedger(), CostLedger()
+        w, w_ref = build_w(p, y, ledger), build_w(per_partial, y, per_partial_ledger)
+        assert [_bits(t) for t in w.tensors] == [_bits(t) for t in w_ref.tensors]
+        assert ledger == per_partial_ledger
+        assert ledger.classical_evals == 1 + sum(p.dim * math.comb(p.dim + j - 1, j) for j in range(1, r + 1))
 
 
 class TestIntegrateWofL:
