@@ -35,10 +35,8 @@ from .taylor import (
     build_w,
     integrate_w_of_l,
     local_derivatives,
-    residual,
 )
 from .quad import (
-    KINDS,
     IntegralEstimate,
     OracleConfig,
     boost_median,
@@ -80,7 +78,6 @@ __all__ = [
     "HolderSmoothness",
     "IVPProblem",
     "IntegralEstimate",
-    "KINDS",
     "MAX_ORDER",
     "MODES",
     "OracleConfig",
@@ -111,7 +108,6 @@ __all__ = [
     "local_derivatives",
     "quantum_reference",
     "repetitions_for",
-    "residual",
     "rows_to_csv",
     "run_sweep",
     "solve",

@@ -38,6 +38,7 @@ from .errors import (
     UnknownProblemError,
 )
 from .problem import catalog, catalog_names
+from .quad import check_seed
 from .solver import BOOSTED_MODES, MODES, SolveConfig, solve, sup_error
 
 __all__ = [
@@ -128,6 +129,11 @@ class ExperimentConfig:
         for name in ("problems", "modes", "r_values", "rho_values", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must list at least one value")
+        for seed in self.seeds:
+            try:
+                check_seed(seed)
+            except ContractViolationError as exc:
+                raise ConfigError(str(exc)) from None
         if not self.out:
             raise ConfigError("out must be a path or '-'")
 

@@ -1,21 +1,22 @@
 """Integral oracles for vector integrands on the unit interval.
 
-Three oracle kinds estimate ``int_0^1 g(u) du`` for integrands from the
-class with ``r`` derivatives and a ``rho``-Holder top derivative:
+Three oracles estimate ``int_0^1 g(u) du`` for integrands from the class with
+``r`` derivatives and a ``rho``-Holder top derivative, each under the one
+accuracy contract an :class:`OracleConfig` states:
 
-``deterministic``
+:func:`integrate_deterministic`
     Composite interpolatory (Gauss) quadrature sized so the worst-case error
     over the class is at most ``eps1``; query budget grows like
     ``eps1 ** (-1 / (r + rho))``.
 
-``randomized``
+:func:`integrate_randomized`
     A control-variate Monte Carlo scheme: the exact integral of a piecewise
     interpolant of ``g`` plus a plain Monte Carlo average of the interpolation
     residual.  Unbiased, with RMS error at most ``eps1 / 2`` on the class, so
     a single run lands within ``eps1`` with probability at least 3/4
     (Chebyshev).  Budget grows like ``eps1 ** (-1 / (r + rho + 1/2))``.
 
-``quantum_sim``
+:func:`integrate_quantum_sim`
     A statistical stand-in for a quantum integration device.  It is given
     the integral, which the caller computes with :func:`integrate_reference`
     (the one reference quadrature, also the solver's exact mode), and emits,
@@ -25,13 +26,13 @@ class with ``r`` derivatives and a ``rho``-Holder top derivative:
     ``ceil(cost_constant * eps1 ** (-1 / (r + rho + 1)))``, not at the
     reference's node count.
 
-All oracles are deterministic functions of ``(g, config)`` and, for the
-randomized kinds, of the generator they draw from (``default_rng(config.seed)``
+All oracles are deterministic functions of their inputs and, for the two
+randomized ones, of the generator they draw from (``default_rng(config.seed)``
 unless given).  Integrands map a float array of shape ``(m,)`` to values of
 shape ``(m,)`` or ``(dim, m)``.  Oracles charge nothing themselves: each
 reports its price in ``IntegralEstimate.queries``, and the caller charges it.
 
-Boosting makes ``k`` independent runs of a randomized kind on one integrand.
+Boosting makes ``k`` independent runs of a randomized oracle on one integrand.
 Both take ``rng=`` and ``k=`` to make them as one batch: the runs draw one
 block of uniforms from ``rng``, run ``j`` reading row ``j``, and the work
 common to all runs (the control variate, or the simulator's reference) is
@@ -53,7 +54,6 @@ from .errors import ContractViolationError
 from .problem import HolderSmoothness
 
 __all__ = [
-    "KINDS",
     "IntegralEstimate",
     "OracleConfig",
     "integrate_deterministic",
@@ -66,9 +66,6 @@ __all__ = [
     "repetitions_for",
     "derive_seed",
 ]
-
-KINDS = ("deterministic", "randomized", "quantum_sim")
-
 
 @dataclasses.dataclass(frozen=True)
 class IntegralEstimate:
@@ -93,26 +90,23 @@ class IntegralEstimate:
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
-    """Configuration shared by all oracle kinds.
+    """The accuracy contract of an oracle call, the same for every oracle.
 
-    ``smoothness`` is the ``(r, rho)`` pair of the integrand class, checked
-    by :class:`~ivporacle.problem.HolderSmoothness`; ``eps1`` the per-call
-    accuracy target; ``seed`` a non-negative 64-bit base seed (ignored by
-    the deterministic kind); ``cost_constant`` the finite positive
-    multiplier in every query-budget formula.
+    ``eps1`` is the finite positive per-call accuracy target; ``smoothness``
+    the ``(r, rho)`` pair of the integrand class, checked by
+    :class:`~ivporacle.problem.HolderSmoothness`; ``seed`` a non-negative
+    64-bit base seed (read only by the randomized oracles); ``cost_constant``
+    the finite positive multiplier in every query-budget formula.
     """
 
-    kind: str
     eps1: float
     smoothness: tuple[int, float]
     seed: int = 0
     cost_constant: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ContractViolationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.eps1 > 0:
-            raise ContractViolationError("eps1 must be positive")
+        if not 0 < self.eps1 < math.inf:
+            raise ContractViolationError(f"eps1 must be finite and positive, got {self.eps1!r}")
         if len(self.smoothness) != 2:
             raise ContractViolationError(f"smoothness must be an (r, rho) pair, got {self.smoothness!r}")
         smooth = HolderSmoothness(*self.smoothness)
@@ -218,8 +212,6 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     degree ``r`` and beyond), with the panel count chosen so total queries
     stay within ``ceil(cost_constant * eps1 ** (-1/(r+rho)))``.
     """
-    if cfg.kind != "deterministic":
-        raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
     r, _ = cfg.smoothness
     q = r + 1
     budget = _budget(cfg, 0.0)
@@ -255,8 +247,6 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     at ``k`` times the per-call budget.  The interpolant is built once and
     ``g`` is called once for the samples of all runs.
     """
-    if cfg.kind != "randomized":
-        raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
     rng, runs = _runs(cfg, rng, k)
     r, _ = cfg.smoothness
     q = r + 1
@@ -282,7 +272,7 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     return _emit(values, panels * q + nsamples, k)
 
 
-def integrate_quantum_sim(g, cfg: OracleConfig, reference: np.ndarray,
+def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
                           rng: Optional[np.random.Generator] = None,
                           k: Optional[int] = None) -> IntegralEstimate:
     """Simulated quantum integral oracle.
@@ -291,17 +281,16 @@ def integrate_quantum_sim(g, cfg: OracleConfig, reference: np.ndarray,
     is uniform in ``[-eps1, eps1]`` with probability 3/4 and uniform over the
     outlier band ``[-10 eps1, -eps1) u (eps1, 10 eps1]`` otherwise, so a
     single call succeeds at the advertised 3/4 rate and boosting has genuine
-    outliers to suppress.  ``reference`` is the integral of ``g``, which
-    the caller computes (the solver with :func:`quantum_reference`), so ``g``
-    itself is not evaluated; queries are charged at the modeled budget.
+    outliers to suppress.  ``reference`` is the integral the device would
+    estimate, which the caller computes (the solver with
+    :func:`quantum_reference`), so no integrand is passed or evaluated;
+    queries are charged at the modeled budget.
 
     The draws are one ``(k, dim, 3)`` block from ``rng`` (default
     ``default_rng(config.seed)``; ``k = 1`` for a single call): each
     component reads three fixed slots, band, noise and sign.  With ``k`` the
     ``(k, dim)`` values are returned, charged at ``k`` times the budget.
     """
-    if cfg.kind != "quantum_sim":
-        raise ContractViolationError(f"config kind {cfg.kind!r} does not match oracle")
     rng, runs = _runs(cfg, rng, k)
     budget = _budget(cfg, 1.0)
     reference = np.asarray(reference, dtype=float).reshape(-1).tolist()

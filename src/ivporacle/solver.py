@@ -21,7 +21,7 @@ rule in :class:`~ivporacle.problem.CostLedger`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .taylor import (
     build_w,
     integrate_w_of_l,
     local_derivatives,
-    residual,
 )
 
 __all__ = ["MODES", "BOOSTED_MODES", "SolveConfig", "Trajectory", "solve", "eval_trajectory", "sup_error"]
@@ -117,13 +116,13 @@ class _Run(NamedTuple):
     """What a corrector needs beyond the step's residual."""
 
     ledger: CostLedger
-    oracle: Optional[OracleConfig]
+    oracle: OracleConfig
     k: int
-    seed: int
 
     def rng(self, i: int) -> np.random.Generator:
-        """Step ``i``'s Philox stream, keyed by ``(seed, i)``; its k runs draw one block."""
-        return np.random.Generator(np.random.Philox(key=np.array([self.seed, i], dtype=np.uint64)))
+        """Step ``i``'s Philox stream, keyed by ``(oracle.seed, i)``; its k runs draw one block."""
+        key = np.array([self.oracle.seed, i], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def reference_tol(scale: float, f_y: np.ndarray) -> float:
@@ -154,7 +153,7 @@ def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
 
 def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
     reference = quantum_reference(g, tol=reference_tol(g.scale, g.w.tensors[0]))
-    est = integrate_quantum_sim(g, run.oracle, reference=reference, rng=run.rng(i), k=run.k)
+    est = integrate_quantum_sim(run.oracle, reference, rng=run.rng(i), k=run.k)
     return _boosted(est, run)
 
 
@@ -165,20 +164,20 @@ def _boosted(batch: IntegralEstimate, run: _Run) -> np.ndarray:
 
 
 class _Mode(NamedTuple):
-    """A solver mode: its oracle kind (None for det_exact), whether its
-    steps are boosted, and its corrector ``(g_i, i, run) -> A_i``."""
+    """A solver mode: whether its steps are boosted, and its corrector
+    ``(g_i, i, run) -> A_i``.  Every oracle reads the solve's one
+    ``run.oracle``; ``det_exact`` calls none and ignores it."""
 
-    kind: Optional[str]
     boosted: bool
     correct: Callable[[ResidualIntegrand, int, _Run], np.ndarray]
 
 
 # Correctors reach the oracles through this module's globals at call time.
 _MODES = {
-    "det_exact": _Mode(None, False, _det_exact),
-    "det_values": _Mode("deterministic", False, _det_values),
-    "randomized": _Mode("randomized", True, _randomized),
-    "quantum_sim": _Mode("quantum_sim", True, _quantum_sim),
+    "det_exact": _Mode(False, _det_exact),
+    "det_values": _Mode(False, _det_values),
+    "randomized": _Mode(True, _randomized),
+    "quantum_sim": _Mode(True, _quantum_sim),
 }
 MODES = tuple(_MODES)
 BOOSTED_MODES = tuple(name for name, mode in _MODES.items() if mode.boosted)
@@ -205,12 +204,10 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         raise StationaryStartError(ledger)
 
     mode = _MODES[cfg.mode]
-    oracle_cfg = None
-    if mode.kind is not None:
-        oracle_cfg = OracleConfig(kind=mode.kind, eps1=h, smoothness=(r, rho),
-                                  seed=cfg.seed, cost_constant=cfg.cost_constant)
+    oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed,
+                              cost_constant=cfg.cost_constant)
     k = repetitions_for(cfg.delta, n, cfg.c) if mode.boosted else 1
-    run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, seed=cfg.seed)
+    run = _Run(ledger=ledger, oracle=oracle_cfg, k=k)
 
     bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
     y = problem.eta.copy()
@@ -221,7 +218,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         step_integral = integrate_w_of_l(w_i, l_i, h)
-        g_i = residual(problem, w_i, l_i, h)
+        g_i = ResidualIntegrand(problem, w_i, l_i, h)
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i

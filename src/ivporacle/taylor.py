@@ -36,7 +36,6 @@ __all__ = [
     "build_l",
     "build_w",
     "integrate_w_of_l",
-    "residual",
 ]
 
 
@@ -232,9 +231,9 @@ class ResidualIntegrand:
     """Scaled step residual ``g(u)`` on the unit interval.
 
     ``g(u) = scale * (f(l(x_i + u h)) - w(l(x_i + u h)))`` with
-    ``x_i = l.center`` and ``scale = h^-(r + rho)``.  Evaluating it charges
-    nothing: the oracle that integrates it reports its price, and the solver
-    charges that once.
+    ``x_i = l.center`` and ``scale = h^-(r + rho)``; ``h`` is stored as a
+    ``float``.  Evaluating it charges nothing: the oracle that integrates it
+    reports its price, and the solver charges that once.
     """
 
     problem: IVPProblem
@@ -245,7 +244,8 @@ class ResidualIntegrand:
     def __post_init__(self):
         if not self.h > 0:
             raise ContractViolationError("step size h must be positive")
-        self.scale = float(self.h) ** (-self.problem.smoothness.order)
+        self.h = float(self.h)
+        self.scale = self.h ** (-self.problem.smoothness.order)
 
     @property
     def dim(self) -> int:
@@ -256,8 +256,3 @@ class ResidualIntegrand:
         pts = self.l.eval_offset(u * self.h)
         fv = eval_rhs(self.problem, pts)
         return (fv - self.w(pts)) * self.scale
-
-
-def residual(problem: IVPProblem, w: TaylorMap, l: VecPolynomial, h: float) -> ResidualIntegrand:
-    """Residual integrand of the step of length ``h`` from ``l.center``."""
-    return ResidualIntegrand(problem=problem, w=w, l=l, h=float(h))

@@ -15,6 +15,7 @@ import numpy as np
 from ivporacle import (
     ExperimentConfig,
     OracleConfig,
+    ResidualIntegrand,
     SolveConfig,
     boost_median,
     build_l,
@@ -30,7 +31,6 @@ from ivporacle import (
     integrate_w_of_l,
     local_derivatives,
     repetitions_for,
-    residual,
     rows_to_csv,
     run_sweep,
     solve,
@@ -63,7 +63,7 @@ def test_criterion_1_step_identity():
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
         lhs = y + integrate_w_of_l(w, l, h) \
-            + h ** (r + rho + 1.0) * reference_integral(residual(p, w, l, h))
+            + h ** (r + rho + 1.0) * reference_integral(ResidualIntegrand(p, w, l, h))
         rhs = y + h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     elapsed = time.perf_counter() - t0
@@ -111,7 +111,7 @@ def test_criterion_3_residual_nullity():
             x_i = a + i * h
             w = build_w(p, y)
             l = build_l(local_derivatives(w, r + 1), x_i)
-            target = reference_integral(residual(p, w, l, h))
+            target = reference_integral(ResidualIntegrand(p, w, l, h))
             worst_target = max(worst_target, float(np.max(np.abs(target))))
             y = y + integrate_w_of_l(w, l, h)  # A_i dropped entirely
         traj = solve(p, SolveConfig(n=n, mode="det_exact"))
@@ -132,7 +132,7 @@ def test_criterion_4_oracle_contracts():
     det_worst = 0.0
     for r, rho in ((0, 1.0), (1, 1.0)):
         for eps1 in (1e-1, 1e-2, 1e-3):
-            cfg = OracleConfig(kind="deterministic", eps1=eps1, smoothness=(r, rho))
+            cfg = OracleConfig(eps1=eps1, smoothness=(r, rho))
             for _ in range(50):
                 g = make_kink_integrand(rng, r, rho)
                 err = np.max(np.abs(integrate_deterministic(g, cfg).value - g.exact))
@@ -143,7 +143,7 @@ def test_criterion_4_oracle_contracts():
     g = make_kink_integrand(rng, 0, 1.0)
     hits = sum(
         np.max(np.abs(integrate_randomized(
-            g, OracleConfig(kind="randomized", eps1=eps1, smoothness=(0, 1.0),
+            g, OracleConfig(eps1=eps1, smoothness=(0, 1.0),
                             seed=seed)).value - g.exact)) <= eps1
         for seed in range(500))
     rand_freq = hits / 500
@@ -152,7 +152,7 @@ def test_criterion_4_oracle_contracts():
     ref = reference_integral(g)
     in_band = sum(
         abs(integrate_quantum_sim(
-            g, OracleConfig(kind="quantum_sim", eps1=eps1, smoothness=(0, 1.0), seed=seed),
+            OracleConfig(eps1=eps1, smoothness=(0, 1.0), seed=seed),
             reference=ref).value[0] - ref[0]) <= eps1
         for seed in range(10_000))
     quant_freq = in_band / 10_000
@@ -182,9 +182,8 @@ def test_criterion_5_boosting():
             for step in range(n):
                 est = boost_median(
                     lambda j: integrate_quantum_sim(
-                        lambda u: u, OracleConfig(
-                            kind="quantum_sim", eps1=eps1, smoothness=(0, 1.0),
-                            seed=derive_seed(trial, n, step, j)),
+                        OracleConfig(eps1=eps1, smoothness=(0, 1.0),
+                                     seed=derive_seed(trial, n, step, j)),
                         reference=ref),
                     k)
                 if abs(est.value[0] - ref[0]) > eps1:

@@ -44,6 +44,7 @@ class TestExperimentConfig:
         dict(modes=()),
         dict(r_values=()),
         dict(rho_values=()),
+        dict(seeds=(0, -1)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -234,6 +235,14 @@ class TestMain:
     def test_bad_input_exits_2(self, args, capsys):
         assert main(args + ["--n-grid", "8"] if args[0] != "--n-grid" else args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_seed_exits_2_before_any_cell(self, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(ivporacle.cli, "solve", lambda *args: solves.append(args))
+        assert main(["--seeds", "0,-1", "--n-grid", "8"]) == 2
+        out = capsys.readouterr()
+        assert solves == [] and out.out == ""
+        assert "error: seed must be a non-negative 64-bit integer, got -1" in out.err
 
     def test_stationary_start_does_not_abort(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.ini"

@@ -28,15 +28,15 @@ from conftest import make_kink_integrand, reference_integral
 
 
 def det_cfg(eps1, r=0, rho=1.0, cc=4.0):
-    return OracleConfig(kind="deterministic", eps1=eps1, smoothness=(r, rho), cost_constant=cc)
+    return OracleConfig(eps1=eps1, smoothness=(r, rho), cost_constant=cc)
 
 
 def rand_cfg(eps1, r=0, rho=1.0, seed=0, cc=4.0):
-    return OracleConfig(kind="randomized", eps1=eps1, smoothness=(r, rho), seed=seed, cost_constant=cc)
+    return OracleConfig(eps1=eps1, smoothness=(r, rho), seed=seed, cost_constant=cc)
 
 
 def quant_cfg(eps1, r=0, rho=1.0, seed=0, cc=4.0):
-    return OracleConfig(kind="quantum_sim", eps1=eps1, smoothness=(r, rho), seed=seed, cost_constant=cc)
+    return OracleConfig(eps1=eps1, smoothness=(r, rho), seed=seed, cost_constant=cc)
 
 
 class TestEstimateAndConfigContracts:
@@ -51,33 +51,46 @@ class TestEstimateAndConfigContracts:
             IntegralEstimate(value=0.0, queries=-1)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(kind="deterministic", eps1=0.0, smoothness=(0, 1.0)),
-        dict(kind="bogus", eps1=0.1, smoothness=(0, 1.0)),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 0.5)),
-        dict(kind="randomized", eps1=0.1, smoothness=(-1, 1.0)),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=-1),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=2.7),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), seed=True),
-        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), seed="3"),
-        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), seed=2 ** 64),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=0.0),
-        dict(kind="randomized", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.inf),
-        dict(kind="quantum_sim", eps1=0.1, smoothness=(0, 1.0), cost_constant=math.nan),
-        dict(kind="deterministic", eps1=0.1, smoothness=(4, 1.0)),
-        dict(kind="deterministic", eps1=0.1, smoothness=(1, 1.0, 2)),
+        dict(eps1=0.0, smoothness=(0, 1.0)),
+        dict(eps1=0.1, smoothness=(0, 0.5)),
+        dict(eps1=0.1, smoothness=(-1, 1.0)),
+        dict(eps1=0.1, smoothness=(0, 1.0), seed=-1),
+        dict(eps1=0.1, smoothness=(0, 1.0), seed=2.7),
+        dict(eps1=0.1, smoothness=(0, 1.0), seed=True),
+        dict(eps1=0.1, smoothness=(0, 1.0), seed="3"),
+        dict(eps1=0.1, smoothness=(0, 1.0), seed=2 ** 64),
+        dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=0.0),
+        dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=math.inf),
+        dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=math.nan),
+        dict(eps1=0.1, smoothness=(4, 1.0)),
+        dict(eps1=0.1, smoothness=(1, 1.0, 2)),
+        dict(eps1=math.inf, smoothness=(0, 1.0)),
+        dict(eps1=math.nan, smoothness=(0, 1.0)),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
             OracleConfig(**kwargs)
 
-    def test_kind_mismatch_rejected_by_every_oracle(self):
-        g = lambda u: np.atleast_1d(u)[None, :]
-        with pytest.raises(ContractViolationError):
-            integrate_deterministic(g, rand_cfg(0.1))
-        with pytest.raises(ContractViolationError):
-            integrate_randomized(g, det_cfg(0.1))
-        with pytest.raises(ContractViolationError):
-            integrate_quantum_sim(g, det_cfg(0.1), reference=np.zeros(1))
+    def test_one_config_drives_every_oracle(self, rng):
+        # One accuracy contract, three oracles: each meets its own budget
+        # formula at the shared eps1, and the randomized ones read its seed.
+        g = make_kink_integrand(rng, 1, 1.0, dim=2)
+        eps1 = 1e-2
+        cfg = OracleConfig(eps1=eps1, smoothness=(1, 1.0), seed=3)
+        ref = quantum_reference(g)
+        det = integrate_deterministic(g, cfg)
+        rand = integrate_randomized(g, cfg)
+        quant = integrate_quantum_sim(cfg, reference=ref)
+        assert np.max(np.abs(det.value - g.exact)) <= eps1
+        assert np.max(np.abs(rand.value - g.exact)) <= 10 * eps1
+        assert np.max(np.abs(quant.value - ref)) <= 10 * eps1
+        assert det.queries <= math.ceil(4.0 * eps1 ** (-1.0 / 2.0))
+        assert rand.queries <= math.ceil(4.0 * eps1 ** (-1.0 / 2.5))
+        assert quant.queries == math.ceil(4.0 * eps1 ** (-1.0 / 3.0))
+        again = integrate_randomized(g, cfg, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(rand.value, again.value)
+        again = integrate_quantum_sim(cfg, reference=ref, rng=np.random.default_rng(3))
+        np.testing.assert_array_equal(quant.value, again.value)
 
 
 class TestDeterministicOracle:
@@ -175,7 +188,7 @@ class TestRandomizedOracle:
 
 class TestQuantumSimOracle:
     def test_query_budget_formula(self):
-        est = integrate_quantum_sim(lambda u: u, quant_cfg(1e-2, cc=1.0), reference=np.array([0.5]))
+        est = integrate_quantum_sim(quant_cfg(1e-2, cc=1.0), reference=np.array([0.5]))
         assert est.queries == 10  # ceil(100 ** 0.5)
 
     def test_emission_band_frequency(self):
@@ -184,7 +197,7 @@ class TestQuantumSimOracle:
         hits = 0
         trials = 2000
         for seed in range(trials):
-            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref)
+            est = integrate_quantum_sim(quant_cfg(eps1, seed=seed), reference=ref)
             hits += abs(est.value[0] - 0.5) <= eps1
         assert 0.72 <= hits / trials <= 0.78
 
@@ -193,8 +206,7 @@ class TestQuantumSimOracle:
         ref = np.array([0.0])
         outliers = []
         for seed in range(3000):
-            v = integrate_quantum_sim(lambda u: 0.0 * u, quant_cfg(eps1, seed=seed),
-                                      reference=ref).value[0]
+            v = integrate_quantum_sim(quant_cfg(eps1, seed=seed), reference=ref).value[0]
             assert abs(v) <= 10 * eps1
             if abs(v) > eps1:
                 outliers.append(v)
@@ -204,7 +216,7 @@ class TestQuantumSimOracle:
 
     def test_zero_integrand_reference_is_zero(self):
         g = lambda u: 0.0 * u
-        est = integrate_quantum_sim(g, quant_cfg(1e-2, seed=4), reference=quantum_reference(g))
+        est = integrate_quantum_sim(quant_cfg(1e-2, seed=4), reference=quantum_reference(g))
         assert abs(est.value[0]) <= 10 * 1e-2
 
     def test_emission_matches_scalar_generator_draws(self):
@@ -229,18 +241,18 @@ class TestQuantumSimOracle:
             else:
                 magnitude = rng.uniform(eps1, 10.0 * eps1)
                 noise = magnitude if rng.random() < 0.5 else -magnitude
-            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref1)
+            est = integrate_quantum_sim(quant_cfg(eps1, seed=seed), reference=ref1)
             np.testing.assert_array_equal(est.value, ref1 + noise)
 
             slots = np.random.default_rng(seed).random(6).tolist()
             expected = [emit(ref2[j], *slots[3 * j:3 * j + 3]) for j in range(2)]
-            est = integrate_quantum_sim(lambda u: u, quant_cfg(eps1, seed=seed), reference=ref2)
+            est = integrate_quantum_sim(quant_cfg(eps1, seed=seed), reference=ref2)
             np.testing.assert_array_equal(est.value, expected)
 
     def test_seed_determinism(self):
         g = lambda u: u ** 2
-        a = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
-        b = integrate_quantum_sim(g, quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
+        a = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
+        b = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_components_draw_independently(self, rng):
@@ -248,14 +260,18 @@ class TestQuantumSimOracle:
         ref = reference_integral(g)
         in_band = np.zeros(2)
         for seed in range(1000):
-            est = integrate_quantum_sim(g, quant_cfg(1e-2, seed=seed), reference=ref)
+            est = integrate_quantum_sim(quant_cfg(1e-2, seed=seed), reference=ref)
             in_band += np.abs(est.value - ref) <= 1e-2
         assert np.all(in_band / 1000 >= 0.68) and np.all(in_band / 1000 <= 0.82)
 
 
-def reference_kwargs(oracle, g):
-    """The simulator is given its integrand's integral; the other oracles take nothing."""
-    return {"reference": quantum_reference(g)} if oracle is integrate_quantum_sim else {}
+def on_integrand(oracle, g):
+    """``oracle`` as a function of ``(cfg, **kwargs)`` on ``g``; the simulator
+    is given ``g``'s integral in place of ``g``."""
+    if oracle is integrate_quantum_sim:
+        ref = quantum_reference(g)
+        return lambda cfg, **kwargs: oracle(cfg, reference=ref, **kwargs)
+    return lambda cfg, **kwargs: oracle(g, cfg, **kwargs)
 
 
 class TestBatchedRuns:
@@ -269,10 +285,10 @@ class TestBatchedRuns:
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         cfg = make_cfg(1e-2, r=1)
         stream = lambda: np.random.Generator(np.random.Philox(key=[5, 3]))
-        ref = reference_kwargs(oracle, g)
-        batch = oracle(g, cfg, rng=stream(), k=6, **ref)
+        call = on_integrand(oracle, g)
+        batch = call(cfg, rng=stream(), k=6)
         gen = stream()
-        singles = [oracle(g, cfg, rng=gen, **ref) for _ in range(6)]
+        singles = [call(cfg, rng=gen) for _ in range(6)]
         assert batch.value.shape == (6, 2)
         np.testing.assert_array_equal(batch.value, np.stack([e.value for e in singles]))
         assert batch.queries == 6 * singles[0].queries
@@ -285,10 +301,10 @@ class TestBatchedRuns:
         (integrate_quantum_sim, quant_cfg),
     ])
     def test_empty_batch_rejected(self, oracle, make_cfg):
-        g = lambda u: u
+        call = on_integrand(oracle, lambda u: u)
         for k in (0, -1, 2.5, np.int64(0)):
             with pytest.raises(ContractViolationError):
-                oracle(g, make_cfg(1e-2), k=k, **reference_kwargs(oracle, g))
+                call(make_cfg(1e-2), k=k)
 
     @pytest.mark.parametrize("oracle,make_cfg", [
         (integrate_randomized, rand_cfg),
@@ -297,10 +313,10 @@ class TestBatchedRuns:
     def test_default_generator_is_config_seed(self, rng, oracle, make_cfg):
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         cfg = make_cfg(1e-2, r=1, seed=77)
-        ref = reference_kwargs(oracle, g)
+        call = on_integrand(oracle, g)
         for k in (None, 4, np.int64(4)):
-            default = oracle(g, cfg, k=k, **ref)
-            explicit = oracle(g, cfg, rng=np.random.default_rng(77), k=k, **ref)
+            default = call(cfg, k=k)
+            explicit = call(cfg, rng=np.random.default_rng(77), k=k)
             np.testing.assert_array_equal(default.value, explicit.value)
             assert default.queries == explicit.queries
 
@@ -365,7 +381,7 @@ class TestBoostMedian:
         for trial in range(trials):
             est = boost_median(
                 lambda j: integrate_quantum_sim(
-                    lambda u: u, quant_cfg(eps1, seed=derive_seed(trial, j)), reference=ref),
+                    quant_cfg(eps1, seed=derive_seed(trial, j)), reference=ref),
                 15,
             )
             success += abs(est.value[0] - 0.5) <= eps1
@@ -428,7 +444,6 @@ def test_simultaneous_boosted_success_rate(rng):
         for step in range(n):
             est = boost_median(
                 lambda j: integrate_quantum_sim(
-                    lambda u: u / 2.0,
                     quant_cfg(eps1, seed=derive_seed(9000 + trial, step, j)),
                     reference=ref),
                 k,

@@ -41,7 +41,6 @@ from ivporacle import (
     local_derivatives,
     quantum_reference,
     repetitions_for,
-    residual,
     solve,
     sup_error,
 )
@@ -60,11 +59,8 @@ def modified_euler(problem, cfg):
     f_eta = eval_rhs(problem, problem.eta, ledger)
     if np.max(np.abs(f_eta)) == 0.0:
         raise ContractViolationError("stationary start")
-    oracle_cfg = None
-    if cfg.mode in ("det_values", "randomized", "quantum_sim"):
-        kind = "deterministic" if cfg.mode == "det_values" else cfg.mode
-        oracle_cfg = OracleConfig(kind=kind, eps1=h, smoothness=(0, rho),
-                                  seed=cfg.seed, cost_constant=cfg.cost_constant)
+    oracle_cfg = OracleConfig(eps1=h, smoothness=(0, rho),
+                              seed=cfg.seed, cost_constant=cfg.cost_constant)
     k = repetitions_for(cfg.delta, n, cfg.c) if cfg.mode in ("randomized", "quantum_sim") else 1
     y = problem.eta.copy()
     states = [y.copy()]
@@ -90,7 +86,7 @@ def modified_euler(problem, cfg):
         else:
             ref = quantum_reference(g, tol=reference_tol(h ** (-rho), f0))
             a_i = boost_median(
-                lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen), k).value
+                lambda j: integrate_quantum_sim(oracle_cfg, reference=ref, rng=gen), k).value
         y = y + f0 * (h ** 1 / 1) + h ** (1.0 + rho) * a_i
         states.append(y.copy())
     return np.array(states)
@@ -109,7 +105,7 @@ def per_repetition_stepper(problem, cfg):
     r, rho = problem.smoothness.r, problem.smoothness.rho
     ledger = CostLedger()
     eval_rhs(problem, problem.eta, ledger)
-    oracle_cfg = OracleConfig(kind=cfg.mode, eps1=h, smoothness=(r, rho),
+    oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho),
                               seed=cfg.seed, cost_constant=cfg.cost_constant)
     k = repetitions_for(cfg.delta, n, cfg.c)
     y = problem.eta.copy()
@@ -118,13 +114,13 @@ def per_repetition_stepper(problem, cfg):
         x_i = a + i * h
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
-        g = residual(problem, w_i, l_i, h)
+        g = ResidualIntegrand(problem, w_i, l_i, h)
         gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
         if cfg.mode == "randomized":
             run = lambda j: integrate_randomized(g, oracle_cfg, rng=gen)
         else:
             ref = quantum_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
-            run = lambda j: integrate_quantum_sim(g, oracle_cfg, reference=ref, rng=gen)
+            run = lambda j: integrate_quantum_sim(oracle_cfg, reference=ref, rng=gen)
         est = boost_median(run, k)
         ledger.charge_queries(est.queries)
         ledger.charge_repetitions(k)

@@ -15,6 +15,7 @@ import pytest
 from ivporacle import (
     ContractViolationError,
     CostLedger,
+    ResidualIntegrand,
     TaylorMap,
     VecPolynomial,
     build_l,
@@ -24,7 +25,6 @@ from ivporacle import (
     eval_rhs,
     integrate_w_of_l,
     local_derivatives,
-    residual,
 )
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.taylor import _derivative_tensor
@@ -265,7 +265,7 @@ class TestResidual:
         y = np.array([1.0])
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 1), 0.0)
-        g = residual(p, w, l, 0.25)
+        g = ResidualIntegrand(p, w, l, 0.25)
         np.testing.assert_allclose(g(np.array([0.0, 0.25, 1.0]))[0], [0.0, 0.25, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("name,r", [("scalar-exponential", 1), ("scalar-quadratic", 2),
@@ -276,7 +276,7 @@ class TestResidual:
         y = p.eta + 0.05
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), 0.0)
-        g = residual(p, w, l, 0.125)
+        g = ResidualIntegrand(p, w, l, 0.125)
         assert np.max(np.abs(g(np.linspace(0.0, 1.0, 9)))) < 1e-12
 
     def test_scale_exponent(self):
@@ -284,8 +284,17 @@ class TestResidual:
         y = np.array([0.3])
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 2), 0.0)
-        g = residual(p, w, l, 0.01)
+        g = ResidualIntegrand(p, w, l, 0.01)
         assert g.scale == pytest.approx(0.01 ** (-1.5))
+
+    def test_step_stored_as_float(self):
+        p = catalog("logistic", r=1)
+        w = build_w(p, np.array([0.3]))
+        l = build_l(local_derivatives(w, 2), 0.0)
+        for h in (np.float64(0.125), 1, np.float32(0.5)):
+            g = ResidualIntegrand(p, w, l, h)
+            assert type(g.h) is float and g.h == float(h)
+            assert g.scale == float(h) ** (-p.smoothness.order)
 
     def test_nonpositive_step_rejected(self):
         p = catalog("scalar-exponential", r=0)
@@ -293,7 +302,7 @@ class TestResidual:
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 1), 0.0)
         with pytest.raises(ContractViolationError):
-            residual(p, w, l, 0.0)
+            ResidualIntegrand(p, w, l, 0.0)
 
 
 @pytest.mark.parametrize("name,r,rho", [
@@ -314,7 +323,7 @@ def test_step_identity_against_reference(name, r, rho):
         w = build_w(p, y)
         l = build_l(local_derivatives(w, r + 1), x_i)
         taylor_part = integrate_w_of_l(w, l, h)
-        g = residual(p, w, l, h)
+        g = ResidualIntegrand(p, w, l, h)
         lhs = taylor_part + h ** (r + rho + 1.0) * reference_integral(g)
         rhs = h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
