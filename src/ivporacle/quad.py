@@ -105,15 +105,13 @@ class OracleConfig:
     cost_constant: float = 4.0
 
     def __post_init__(self):
-        if not 0 < self.eps1 < math.inf:
-            raise ContractViolationError(f"eps1 must be finite and positive, got {self.eps1!r}")
+        check_real("eps1", self.eps1, 0, math.inf)
         if len(self.smoothness) != 2:
             raise ContractViolationError(f"smoothness must be an (r, rho) pair, got {self.smoothness!r}")
         smooth = HolderSmoothness(*self.smoothness)
         object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
         check_seed(self.seed)
-        if not 0 < self.cost_constant < math.inf:
-            raise ContractViolationError("cost_constant must be finite and positive")
+        check_real("cost_constant", self.cost_constant, 0, math.inf)
 
 
 def check_seed(seed) -> None:
@@ -127,6 +125,13 @@ def check_count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ContractViolationError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, lo: float, hi: float) -> None:
+    """Reject a ``value`` outside ``(lo, hi)`` or not an int, float or numpy number (bool excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
+            or not lo < value < hi):
+        raise ContractViolationError(f"{name} must be a number in ({lo}, {hi}), got {value!r}")
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -339,11 +344,9 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
     level per boosted call is split evenly (in probability) over the ``n``
     steps of a solve.  Requires ``0 < delta < 1/2`` and a finite ``c > 0``.
     """
-    if not 0.0 < delta < 0.5:
-        raise ContractViolationError(f"delta must lie in (0, 1/2), got {delta}")
+    check_real("delta", delta, 0, 0.5)
     n = check_count("n", n)
-    if not 0 < c < math.inf:
-        raise ContractViolationError(f"c must be finite and positive, got {c}")
+    check_real("c", c, 0, math.inf)
     per_step_failure = 1.0 - (1.0 - delta) ** (1.0 / n)
     return max(1, math.ceil(c * math.log2(1.0 / per_step_failure)))
 

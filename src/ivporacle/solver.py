@@ -34,6 +34,7 @@ from .quad import (  # noqa: F401
     OracleConfig,
     boost_median,
     check_count,
+    check_real,
     check_seed,
     derive_seed,
     integrate_deterministic,
@@ -63,6 +64,10 @@ DIVERGENCE_FACTOR = 1e6
 REFERENCE_TOL = 1e-12
 ROUNDING_ULPS = 64
 
+#: sup_error evaluates pieces this many at a time, which bounds the memory
+#: its sample arrays and reference values take at any n.
+AUDIT_PIECES = 64
+
 
 @dataclasses.dataclass(frozen=True)
 class SolveConfig:
@@ -79,13 +84,10 @@ class SolveConfig:
         object.__setattr__(self, "n", check_count("n", self.n))
         if self.mode not in MODES:
             raise ContractViolationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.delta < 0.5:
-            raise ContractViolationError(f"delta must lie in (0, 1/2), got {self.delta}")
+        check_real("delta", self.delta, 0, 0.5)
         check_seed(self.seed)
-        if not 0 < self.cost_constant < np.inf:
-            raise ContractViolationError("cost_constant must be finite and positive")
-        if not 0 < self.c < np.inf:
-            raise ContractViolationError("c must be finite and positive")
+        check_real("cost_constant", self.cost_constant, 0, np.inf)
+        check_real("c", self.c, 0, np.inf)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,15 +255,37 @@ def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
     """Max-norm gap between trajectory and reference on a per-piece grid.
 
     Samples ``samples_per_step`` equispaced points per piece, endpoints
-    included, so grid states and interiors are both audited.
+    included, so grid states and interiors are both audited.  Each block of
+    ``AUDIT_PIECES`` pieces is evaluated in one batched Horner pass;
+    ``reference`` is called once per sample, piece by piece, with an
+    ``np.float64`` time, and must return a ``(dim,)`` array.  A NaN gap at
+    any sample makes the result NaN.
     """
-    if samples_per_step < 2:
+    if check_count("samples_per_step", samples_per_step) < 2:
         raise ContractViolationError("samples_per_step must be at least 2")
-    worst = 0.0
-    for i, piece in enumerate(traj.pieces):
-        lo, hi = traj.breakpoints[i], traj.breakpoints[i + 1]
-        ts = np.linspace(lo, hi, samples_per_step)
-        approx = piece.eval_offset(ts - piece.center)
-        exact = np.stack([np.asarray(reference(t), dtype=float) for t in ts], axis=1)
-        worst = max(worst, float(np.max(np.abs(approx - exact))))
-    return worst
+    try:
+        coeffs = np.array([piece.coeffs for piece in traj.pieces])  # (n, degree + 1, dim)
+        if coeffs.ndim != 3 or np.shape(traj.breakpoints) != (len(coeffs) + 1,):
+            raise ValueError
+    except ValueError:
+        raise ContractViolationError("a trajectory needs n pieces of one degree and dim "
+                                     "and n + 1 breakpoints") from None
+    dim = coeffs.shape[2]
+    centers = np.array([piece.center for piece in traj.pieces])
+    gaps = []
+    for lo in range(0, len(coeffs), AUDIT_PIECES):
+        part = slice(lo, lo + AUDIT_PIECES)
+        ts = np.linspace(traj.breakpoints[:-1][part], traj.breakpoints[1:][part], samples_per_step, axis=1)
+        s = (ts - centers[part, None])[:, :, None]
+        approx = np.broadcast_to(coeffs[part, -1:], ts.shape + (dim,))
+        for k in range(coeffs.shape[1] - 2, -1, -1):
+            approx = approx * s + coeffs[part, k:k + 1]
+        values = [reference(t) for t in ts.ravel()]
+        try:
+            exact = np.array(values, dtype=float)
+            if exact.shape != (ts.size, dim):
+                raise ValueError
+        except ValueError:
+            raise ContractViolationError(f"reference must return a ({dim},) array at each sample") from None
+        gaps.append(np.max(np.abs(approx - exact.reshape(approx.shape))))
+    return float(np.max(gaps))

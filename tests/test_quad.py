@@ -66,10 +66,19 @@ class TestEstimateAndConfigContracts:
         dict(eps1=0.1, smoothness=(1, 1.0, 2)),
         dict(eps1=math.inf, smoothness=(0, 1.0)),
         dict(eps1=math.nan, smoothness=(0, 1.0)),
+        dict(eps1="0.1", smoothness=(0, 1.0)),
+        dict(eps1=None, smoothness=(0, 1.0)),
+        dict(eps1=True, smoothness=(0, 1.0)),
+        dict(eps1=0.1, smoothness=(0, 1.0), cost_constant="4"),
+        dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=None),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
             OracleConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = OracleConfig(eps1=np.float32(0.25), smoothness=(0, 1.0), cost_constant=np.int64(4))
+        assert cfg.eps1 == 0.25 and cfg.cost_constant == 4
 
     def test_one_config_drives_every_oracle(self, rng):
         # One accuracy contract, three oracles: each meets its own budget
@@ -404,7 +413,7 @@ class TestRepetitionsFor:
         ks_d = [repetitions_for(d, 16) for d in (0.4, 0.2, 0.1, 0.01)]
         assert ks_d == sorted(ks_d)
 
-    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.7, -0.1])
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.7, -0.1, "0.1", None, True])
     def test_delta_domain(self, delta):
         with pytest.raises(ContractViolationError):
             repetitions_for(delta, 4)
@@ -414,7 +423,7 @@ class TestRepetitionsFor:
             with pytest.raises(ContractViolationError):
                 repetitions_for(0.1, n)
         assert repetitions_for(0.1, np.int64(8)) == repetitions_for(0.1, 8)
-        for c in (0.0, math.inf, math.nan):
+        for c in (0.0, math.inf, math.nan, "3", None, True):
             with pytest.raises(ContractViolationError):
                 repetitions_for(0.1, 4, c=c)
 

@@ -148,10 +148,21 @@ class TestSolveConfig:
         dict(n=4, cost_constant=math.inf),
         dict(n=True),
         dict(n=np.int64(0)),
+        dict(n=4, delta="0.1"),
+        dict(n=4, delta=None),
+        dict(n=4, delta=True),
+        dict(n=4, c="3"),
+        dict(n=4, c=None),
+        dict(n=4, cost_constant="4"),
+        dict(n=4, cost_constant=None),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
             SolveConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SolveConfig(n=8, delta=np.float32(0.25), c=np.int64(3), cost_constant=np.float64(4.0))
+        assert (cfg.delta, cfg.c, cfg.cost_constant) == (0.25, 3, 4.0)
 
     def test_numpy_integer_seed_accepted(self):
         # The randomized mode passes the seed on to its OracleConfig too.
@@ -247,6 +258,27 @@ class TestEvalTrajectory:
             eval_trajectory(traj, t)
 
 
+def per_piece_sup_error(traj, reference, samples_per_step=8):
+    """The audit as it was first written: one linspace, Horner pass and
+    stack per piece.  ``sup_error`` must match it bit for bit wherever no
+    gap is NaN (this loop drops a NaN gap; ``sup_error`` returns NaN)."""
+    worst = 0.0
+    for i, piece in enumerate(traj.pieces):
+        lo, hi = traj.breakpoints[i], traj.breakpoints[i + 1]
+        ts = np.linspace(lo, hi, samples_per_step)
+        approx = piece.eval_offset(ts - piece.center)
+        exact = np.stack([np.asarray(reference(t), dtype=float) for t in ts], axis=1)
+        worst = max(worst, float(np.max(np.abs(approx - exact))))
+    return worst
+
+
+def hand_trajectory(coeffs, breakpoints=(0.0, 1.0)):
+    """Trajectory with one piece per coefficient array, centred at its left end."""
+    pieces = tuple(VecPolynomial(center=lo, coeffs=np.array(c)) for lo, c in zip(breakpoints, coeffs))
+    return Trajectory(breakpoints=np.array(breakpoints), pieces=pieces,
+                      endpoints=np.zeros((len(breakpoints), 1)), ledger=CostLedger(), mode="det_exact")
+
+
 class TestSupError:
     def test_self_reference_is_zero(self):
         # single piece: no seams, so the trajectory matches itself exactly
@@ -262,12 +294,95 @@ class TestSupError:
             ledger=CostLedger(), mode="det_exact",
         )
         assert sup_error(traj, lambda t: np.array([0.0])) == 1.0
+        for samples in (2, 3, 8):
+            assert (sup_error(traj, lambda t: np.array([0.0]), samples)
+                    == per_piece_sup_error(traj, lambda t: np.array([0.0]), samples) == 1.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+    def test_matches_per_piece_loop(self, name, mode):
+        for r in range(4):
+            p = catalog(name, r=r)
+            for n in (1, 7, 64):
+                traj = solve(p, SolveConfig(n=n, mode=mode, seed=3))
+                for samples in (2, 3, 8):
+                    got = sup_error(traj, p.reference, samples)
+                    assert got == per_piece_sup_error(traj, p.reference, samples), (r, n, samples)
+                    assert math.isfinite(got)
+
+    @pytest.mark.parametrize("name", ["logistic", "integration-reduction"])
+    def test_matches_per_piece_loop_across_blocks(self, name):
+        # pieces are audited AUDIT_PIECES at a time: cover full and partial blocks
+        p = catalog(name, r=1)
+        traj = solve(p, SolveConfig(n=2 * solver.AUDIT_PIECES + 3))
+        for samples in (2, 3, 8):
+            assert sup_error(traj, p.reference, samples) == per_piece_sup_error(traj, p.reference, samples)
+
+    def test_reference_called_once_per_sample_in_piece_order(self):
+        p = catalog("integration-reduction", r=2)
+        traj = solve(p, SolveConfig(n=7))
+        seen = []
+
+        def reference(t):
+            seen.append(t)
+            return p.reference(t)
+
+        sup_error(traj, reference, samples_per_step=3)
+        want = [t for i in range(7) for t in np.linspace(traj.breakpoints[i], traj.breakpoints[i + 1], 3)]
+        assert len(seen) == 7 * 3
+        assert all(type(t) is np.float64 for t in seen)
+        assert np.array(seen).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 2 * solver.AUDIT_PIECES + 3])
+    def test_nan_gap_on_one_piece_is_nan(self, n):
+        p = catalog("scalar-exponential", r=0)
+        traj = solve(p, SolveConfig(n=n))
+
+        def reference(t):  # NaN inside the last piece, which is in the last block, only
+            return np.array([np.nan]) if 1 - 0.5 / n < t < 1 else p.reference(t)
+
+        assert math.isfinite(per_piece_sup_error(traj, reference))
+        assert math.isnan(sup_error(traj, reference))
+
+    def test_all_nan_reference_is_nan(self):
+        traj = solve(catalog("scalar-exponential", r=0), SolveConfig(n=4))
+        assert per_piece_sup_error(traj, lambda t: np.array([np.nan])) == 0.0
+        assert math.isnan(sup_error(traj, lambda t: np.array([np.nan])))
+
+    @pytest.mark.parametrize("traj", [
+        hand_trajectory([[[1.0]], [[1.0], [2.0]]], (0.0, 0.5, 1.0)),  # degrees 0 and 1
+        hand_trajectory([[[1.0]], [[1.0, 2.0]]], (0.0, 0.5, 1.0)),  # dims 1 and 2
+        hand_trajectory([[[1.0]], [[1.0]]], (0.0, 1.0)),  # two pieces, two breakpoints
+        hand_trajectory([], (0.0,)),  # no pieces
+    ], ids=["degree", "dim", "breakpoints", "empty"])
+    def test_mixed_or_short_trajectory_rejected(self, traj):
+        with pytest.raises(ContractViolationError):
+            sup_error(traj, lambda t: np.array([0.0]))
+
+    @pytest.mark.parametrize("reference", [
+        lambda t: 0.0,  # scalar for a 1-d trajectory
+        lambda t: np.array([0.0, 0.0]),  # two components for one
+        lambda t: np.array([[0.0]]),  # (1, 1)
+        lambda t: np.array([0.0]) if t < 0.5 else np.array([0.0, 0.0]),  # shape changes along the grid
+        lambda t: ["zero"],  # not numeric
+    ], ids=["scalar", "too-long", "2-d", "ragged", "text"])
+    def test_reference_of_wrong_shape_rejected(self, reference):
+        traj = hand_trajectory([[[1.0]]])
+        with pytest.raises(ContractViolationError):
+            sup_error(traj, reference)
 
     def test_samples_per_step_floor(self):
         p = catalog("scalar-exponential", r=0)
         traj = solve(p, SolveConfig(n=2))
         with pytest.raises(ContractViolationError):
             sup_error(traj, p.reference, samples_per_step=1)
+
+    @pytest.mark.parametrize("samples", [0, 2.5, "8", True])
+    def test_samples_per_step_must_be_an_integer(self, samples):
+        p = catalog("scalar-exponential", r=0)
+        traj = solve(p, SolveConfig(n=2))
+        with pytest.raises(ContractViolationError):
+            sup_error(traj, p.reference, samples_per_step=samples)
 
     def test_halving_h_quarters_error(self):
         p = catalog("scalar-exponential", r=0)
