@@ -56,9 +56,12 @@ class HolderSmoothness:
 
     def __post_init__(self):
         r, rho = self.r, self.rho
-        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= MAX_ORDER:
+        # exact int and float skip the slower ABC checks; bool is neither
+        if ((type(r) is not int and (isinstance(r, bool) or not isinstance(r, numbers.Integral)))
+                or not 0 <= r <= MAX_ORDER):
             raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {r!r}")
-        if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0.0 < rho <= 1.0:
+        if ((type(rho) is not float and (isinstance(rho, bool) or not isinstance(rho, numbers.Real)))
+                or not 0.0 < rho <= 1.0):
             raise ContractViolationError(f"rho must be a real number in (0, 1], got {rho!r}")
         if r == 0 and rho != 1.0:
             raise ContractViolationError("r = 0 requires rho = 1")
@@ -171,7 +174,7 @@ def _check_point(problem: IVPProblem, y: np.ndarray, batch: bool = False) -> np.
     if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[0] != problem.dim:
         allowed = f"({problem.dim},) or ({problem.dim}, m)" if batch else f"({problem.dim},)"
         raise ContractViolationError(f"point must have shape {allowed}, got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DomainError("evaluation point must be finite")
     return y
 
@@ -239,24 +242,30 @@ def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = 
 # catalog
 
 
+def _constant(c: float) -> Callable:
+    """A derivative that is ``c`` everywhere, in ``z``'s shape: exactly ``c``
+    (``+0.0``, never ``-0.0``, for zero) at a finite ``z``."""
+    return lambda z: z * 0.0 + c
+
+
 #: Scalar entries ``z' = f(z)``, one row each: ``f`` and its derivatives up to
 #: ``MAX_ORDER`` as functions of the state, the solution as a function of
 #: ``(eta, t - a)``, and the default ``eta`` and interval.
 _SCALAR_ROWS = {
     "scalar-exponential": (
-        (lambda z: z, np.ones_like, np.zeros_like, np.zeros_like),
+        (lambda z: z, _constant(1.0), _constant(0.0), _constant(0.0)),
         lambda eta, s: eta * math.exp(s),
         1.0, (0.0, 1.0),
     ),
     # blow-up at t = a + 1/eta; the default [0, 0.5] keeps the solution inside [1, 2]
     "scalar-quadratic": (
-        (lambda z: z * z, lambda z: 2.0 * z, lambda z: 2.0 * np.ones_like(z), np.zeros_like),
+        (lambda z: z * z, lambda z: 2.0 * z, _constant(2.0), _constant(0.0)),
         lambda eta, s: eta / (1.0 - eta * s),
         1.0, (0.0, 0.5),
     ),
     # z(1 - z) has degree 2, so the residual vanishes for r >= 2
     "logistic": (
-        (lambda z: z * (1.0 - z), lambda z: 1.0 - 2.0 * z, lambda z: -2.0 * np.ones_like(z), np.zeros_like),
+        (lambda z: z * (1.0 - z), lambda z: 1.0 - 2.0 * z, _constant(-2.0), _constant(0.0)),
         lambda eta, s: 1.0 / (1.0 + (1.0 / eta - 1.0) * math.exp(-s)),
         0.2, (0.0, 1.0),
     ),

@@ -29,7 +29,8 @@ accuracy contract an :class:`OracleConfig` states:
 All oracles are deterministic functions of their inputs and, for the two
 randomized ones, of the generator they draw from (``default_rng(config.seed)``
 unless given).  Integrands map a float array of shape ``(m,)`` to values of
-shape ``(m,)`` or ``(dim, m)``.  Oracles charge nothing themselves: each
+shape ``(m,)`` or ``(dim, m)``, and must not write to their argument, which
+may be a cached, read-only node array.  Oracles charge nothing themselves: each
 reports its price in ``IntegralEstimate.queries``, and the caller charges it.
 
 Boosting makes ``k`` independent runs of a randomized oracle on one integrand.
@@ -144,28 +145,40 @@ def _eval(g, u: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1]; weights sum to 1."""
+    """Gauss-Legendre nodes/weights mapped to [0, 1]; weights sum to 1; read-only."""
     x, w = np.polynomial.legendre.leggauss(q)
-    return (x + 1.0) / 2.0, w / 2.0
+    rule = (x + 1.0) / 2.0, w / 2.0
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 @functools.lru_cache(maxsize=None)
 def _vandermonde_inv(q: int) -> np.ndarray:
     """Inverse Vandermonde on the q-point Gauss nodes of [0, 1].
 
-    Maps node values to monomial coefficients of the local interpolant.
+    Maps node values to monomial coefficients of the local interpolant;
+    read-only.
     """
     nodes, _ = _gauss_rule(q)
-    v = np.vander(nodes, q, increasing=True)
-    return np.linalg.inv(v)
+    inv = np.linalg.inv(np.vander(nodes, q, increasing=True))
+    inv.setflags(write=False)
+    return inv
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_nodes(panels: int, q: int) -> np.ndarray:
+    """The q Gauss nodes of each of ``panels`` equal panels of [0, 1], panel by panel; read-only."""
+    nodes_ref, _ = _gauss_rule(q)
+    starts = np.arange(panels, dtype=float)
+    nodes = ((starts[:, None] + nodes_ref[None, :]) / panels).reshape(-1)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _panel_values(g, panels: int, q: int) -> np.ndarray:
     """Evaluate ``g`` on all panel Gauss nodes; shape (dim, panels, q)."""
-    nodes_ref, _ = _gauss_rule(q)
-    starts = np.arange(panels, dtype=float)
-    nodes = ((starts[:, None] + nodes_ref[None, :]) / panels).reshape(-1)
-    vals = _eval(g, nodes)
+    vals = _eval(g, _panel_nodes(panels, q))
     return vals.reshape(vals.shape[0], panels, q)
 
 
@@ -187,8 +200,7 @@ def integrate_reference(g, tol: float = 1e-12) -> np.ndarray:
     rounding error of ``g``'s values runs to ``REFERENCE_MAX_PANELS`` panels,
     whose estimate is returned as-is.
     """
-    if not 0 < tol < math.inf:
-        raise ContractViolationError(f"tol must be finite and positive, got {tol!r}")
+    check_real("tol", tol, 0, math.inf)
     prev = _panel_gauss(g, 8, 16)
     panels = 16
     while panels <= REFERENCE_MAX_PANELS:

@@ -18,6 +18,7 @@ evaluation at the base point is exact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Optional, Sequence
@@ -37,6 +38,14 @@ __all__ = [
     "build_w",
     "integrate_w_of_l",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _factorials(q: int) -> np.ndarray:
+    """``0!, 1!, ..., (q-1)!`` as floats, read-only."""
+    row = np.array([float(math.factorial(k)) for k in range(q)])
+    row.setflags(write=False)
+    return row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,12 +79,17 @@ class VecPolynomial:
     def eval_offset(self, s):
         """Evaluate at offset ``s = t - center`` (scalar or 1-d array)."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
         sv = s.reshape(-1)
-        acc = np.repeat(self.coeffs[-1][:, None], sv.size, axis=1)
-        for k in range(self.degree - 1, -1, -1):
-            acc = acc * sv + self.coeffs[k][:, None]
-        return acc[:, 0] if scalar else acc
+        c = self.coeffs
+        if len(c) == 1:
+            acc = np.repeat(c[0][:, None], sv.size, axis=1)
+        else:
+            # Horner in place on one fresh array, the same operations in the same order
+            acc = c[-1][:, None] * sv + c[-2][:, None]
+            for k in range(len(c) - 3, -1, -1):
+                acc *= sv
+                acc += c[k][:, None]
+        return acc[:, 0] if s.ndim == 0 else acc
 
     def __call__(self, t):
         return self.eval_offset(np.asarray(t, dtype=float) - self.center)
@@ -146,8 +160,11 @@ def build_l(derivs: Sequence[np.ndarray], x_i: float) -> VecPolynomial:
     """
     if len(derivs) == 0:
         raise ContractViolationError("derivs must contain at least the value itself")
-    rows = [np.atleast_1d(np.asarray(v, dtype=float)) / math.factorial(k) for k, v in enumerate(derivs)]
-    return VecPolynomial(center=float(x_i), coeffs=np.stack(rows))
+    coeffs = np.array(derivs, dtype=float)
+    if coeffs.ndim == 1:  # scalar derivatives: dim 1
+        coeffs = coeffs[:, None]
+    # row k over k!, whatever the trailing shape, so a bad one meets VecPolynomial's check
+    return VecPolynomial(center=float(x_i), coeffs=(coeffs.T / _factorials(len(coeffs))).T)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,14 +197,19 @@ class TaylorMap:
         y = np.asarray(y, dtype=float)
         scalar = y.ndim == 1
         pts = y[:, None] if scalar else y
-        dy = pts - self.center[:, None]
-        acc = np.repeat(self.tensors[0][:, None], pts.shape[1], axis=1)
-        if self.order >= 1:
-            acc = acc + np.einsum("ci,im->cm", self.tensors[1], dy)
-        if self.order >= 2:
-            acc = acc + np.einsum("cij,im,jm->cm", self.tensors[2], dy, dy)
-        if self.order >= 3:
-            acc = acc + np.einsum("cijk,im,jm,km->cm", self.tensors[3], dy, dy, dy)
+        t = self.tensors
+        order = len(t) - 1
+        if order == 0:
+            acc = np.repeat(t[0][:, None], pts.shape[1], axis=1)
+        else:
+            # T0 + T1 dy + ..., summed left to right in place (T0 + E equals E + T0 bit for bit)
+            dy = pts - self.center[:, None]
+            acc = np.einsum("ci,im->cm", t[1], dy)
+            acc += t[0][:, None]
+            if order >= 2:
+                acc += np.einsum("cij,im,jm->cm", t[2], dy, dy)
+            if order >= 3:
+                acc += np.einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
         return acc[:, 0] if scalar else acc
 
 
@@ -252,7 +274,8 @@ class ResidualIntegrand:
         return self.problem.dim
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        pts = self.l.eval_offset(u * self.h)
-        fv = eval_rhs(self.problem, pts)
-        return (fv - self.w(pts)) * self.scale
+        pts = self.l.eval_offset(np.asarray(u, dtype=float) * self.h)
+        gap = eval_rhs(self.problem, pts)  # a fresh array, reused for the result
+        gap -= self.w(pts)
+        gap *= self.scale
+        return gap

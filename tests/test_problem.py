@@ -47,6 +47,25 @@ class TestHolderSmoothness:
             make_smoothness(r=0, rho=0.5)
 
 
+@pytest.mark.parametrize("name", catalog_names() + ("integration-reduction:cos-pi",))
+def test_batched_oracle_keeps_the_batch_shape_for_every_alpha(name):
+    """A batch ``(dim, m)`` gives ``(m,)`` values for every partial up to
+    order 3, constant ones included, with the point-by-point bits; a zero
+    derivative is +0.0 at a negative state too."""
+    p = catalog(name, r=3)
+    y = p.eta[:, None] + np.linspace(-1.5, 0.5, 5)
+    for comp in range(p.dim):
+        for order in range(4):
+            for idxs in itertools.combinations_with_replacement(range(p.dim), order):
+                alpha = tuple(idxs.count(i) for i in range(p.dim))
+                batch = np.asarray(p.rhs_oracle(y, comp, alpha))
+                assert batch.shape == (5,)
+                singles = np.array([eval_partial(p, y[:, j], comp, alpha) for j in range(5)])
+                assert batch.astype(float).tobytes() == singles.tobytes()
+                if p.dim == 1:
+                    assert not np.any(np.signbit(batch) & (batch == 0.0))
+
+
 class TestCostLedger:
     def test_counters_accumulate(self):
         ledger = CostLedger()

@@ -23,7 +23,7 @@ from ivporacle import (
     quantum_reference,
     repetitions_for,
 )
-from ivporacle.quad import median_of
+from ivporacle.quad import _gauss_rule, _panel_nodes, _vandermonde_inv, median_of
 from conftest import make_kink_integrand, reference_integral
 
 
@@ -340,10 +340,26 @@ class TestReferenceQuadratures:
         dict(tol=-1e-12),
         dict(tol=math.nan),
         dict(tol=math.inf),
+        dict(tol="1e-9"),
+        dict(tol=None),
     ])
     def test_reference_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
             integrate_reference(lambda u: np.exp(u), **kwargs)
+
+    @pytest.mark.parametrize("panels,q", [(1, 1), (3, 2), (8, 16), (4096, 16), (341, 3)])
+    def test_panel_nodes_cached_read_only_and_exact(self, panels, q):
+        """The cached nodes are the bits of the uncached formula, shared and
+        read-only, like every other cached rule array."""
+        nodes_ref, weights = _gauss_rule(q)
+        starts = np.arange(panels, dtype=float)
+        want = ((starts[:, None] + nodes_ref[None, :]) / panels).reshape(-1)
+        nodes = _panel_nodes(panels, q)
+        assert nodes.tobytes() == want.tobytes() and nodes.shape == want.shape
+        assert _panel_nodes(panels, q) is nodes
+        for cached in (nodes, nodes_ref, weights, _vandermonde_inv(q)):
+            with pytest.raises(ValueError):
+                cached[0] = 0.5
 
     def test_quantum_reference_matches_independent_quadrature(self, rng):
         g = make_kink_integrand(rng, 1, 1.0, dim=2)

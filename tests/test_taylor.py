@@ -327,3 +327,137 @@ def test_step_identity_against_reference(name, r, rho):
         lhs = taylor_part + h ** (r + rho + 1.0) * reference_integral(g)
         rhs = h * reference_integral(lambda u: eval_rhs(p, l.eval_offset(u * h)))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+# The evaluators as they were before they worked in place, kept as oracles:
+# the lean ones must give the same bits, the sign of zero included.
+
+def _old_eval_offset(poly, s):
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    sv = s.reshape(-1)
+    acc = np.repeat(poly.coeffs[-1][:, None], sv.size, axis=1)
+    for k in range(poly.degree - 1, -1, -1):
+        acc = acc * sv + poly.coeffs[k][:, None]
+    return acc[:, 0] if scalar else acc
+
+
+def _old_map_call(w, y):
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 1
+    pts = y[:, None] if scalar else y
+    dy = pts - w.center[:, None]
+    acc = np.repeat(w.tensors[0][:, None], pts.shape[1], axis=1)
+    if w.order >= 1:
+        acc = acc + np.einsum("ci,im->cm", w.tensors[1], dy)
+    if w.order >= 2:
+        acc = acc + np.einsum("cij,im,jm->cm", w.tensors[2], dy, dy)
+    if w.order >= 3:
+        acc = acc + np.einsum("cijk,im,jm,km->cm", w.tensors[3], dy, dy, dy)
+    return acc[:, 0] if scalar else acc
+
+
+def _old_build_l(derivs, x_i):
+    rows = [np.atleast_1d(np.asarray(v, dtype=float)) / math.factorial(k) for k, v in enumerate(derivs)]
+    return VecPolynomial(center=float(x_i), coeffs=np.stack(rows))
+
+
+def _old_residual_call(g, u):
+    u = np.asarray(u, dtype=float)
+    pts = _old_eval_offset(g.l, u * g.h)
+    fv = eval_rhs(g.problem, pts)
+    return (fv - _old_map_call(g.w, pts)) * g.scale
+
+
+_OFFSETS = (0.0, -0.0, 0.37, np.array([0.0, -0.0, 0.013, 0.5, 1.0]), np.linspace(-0.3, 1.2, 11))
+
+
+@pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_lean_evaluators_match_old_bodies_bit_for_bit(name, r):
+    """Every catalog step's Taylor map, piece, step polynomial and residual,
+    at scalar and batch inputs, against the old evaluators."""
+    p = catalog(name, r=r)
+    a, b = p.interval
+    states = [np.asarray(p.reference(a + frac * (b - a))) for frac in (0.0, 0.4, 1.0)]
+    states += [np.full(p.dim, c) for c in (-1.3, 0.0, 2.9)]
+    for y in states:
+        w = build_w(p, y)
+        derivs = local_derivatives(w, r + 1)
+        l, l_old = build_l(derivs, a), _old_build_l(derivs, a)
+        assert _bits(l.coeffs) == _bits(l_old.coeffs) and l.center == l_old.center
+        for s in _OFFSETS:
+            assert _bits(l.eval_offset(s)) == _bits(_old_eval_offset(l, s))
+        batch = y[:, None] + np.linspace(-0.25, 0.25, 7)
+        for pt in (y, y + 0.125, batch):
+            assert _bits(w(pt)) == _bits(_old_map_call(w, pt))
+        for h in (0.3, 1.0 / 48):  # not powers of two, so scaling rounds
+            g = ResidualIntegrand(p, w, l, h)
+            for u in (0.0, 0.75, np.linspace(0.0, 1.0, 9)):
+                assert _bits(g(u)) == _bits(_old_residual_call(g, u))
+
+
+def _signed_zeros(rng, shape):
+    """Uniform values in [-1, 1] with about a third of them replaced by +0.0 or -0.0."""
+    x = rng.uniform(-1.0, 1.0, shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.15] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_lean_evaluators_on_random_data_bit_for_bit(order, dim):
+    """Degree-0 pieces and order-0 maps included, with signed zeros in every input."""
+    rng = np.random.default_rng(100 * order + dim)
+    for _ in range(5):
+        poly = VecPolynomial(center=0.25, coeffs=_signed_zeros(rng, (order + 1, dim)))
+        for s in (0.0, -0.0, _signed_zeros(rng, 6)):
+            assert _bits(poly.eval_offset(s)) == _bits(_old_eval_offset(poly, s))
+        derivs = [_signed_zeros(rng, dim) for _ in range(order + 1)]
+        assert _bits(build_l(derivs, 0.5).coeffs) == _bits(_old_build_l(derivs, 0.5).coeffs)
+        center = _signed_zeros(rng, dim)
+        w = TaylorMap(center=center, tensors=tuple(_signed_zeros(rng, (dim,) * (j + 1))
+                                                   for j in range(order + 1)))
+        for y in (center, _signed_zeros(rng, dim), _signed_zeros(rng, (dim, 4)), center[:, None] + 0.0):
+            assert _bits(w(y)) == _bits(_old_map_call(w, y))
+
+
+def test_build_l_accepts_scalar_derivatives():
+    scalars = [1.0, np.float64(2.0), np.array(6.0)]
+    assert _bits(build_l(scalars, 0.0).coeffs) == _bits(_old_build_l(scalars, 0.0).coeffs)
+    assert build_l(scalars, 0.0).coeffs.shape == (3, 1)
+
+
+def _frozen(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_evaluators_write_to_no_input():
+    """The caller's offsets, points and states and a piece's coefficients and
+    a map's tensors come out unchanged; made read-only, a write would raise."""
+    p = catalog("integration-reduction:cos-pi", r=3)
+    y = _frozen(p.eta + 0.1)
+    w = build_w(p, y)
+    w = TaylorMap(center=w.center, tensors=tuple(_frozen(t) for t in w.tensors))
+    derivs = [_frozen(d) for d in local_derivatives(w, 4)]
+    l = build_l(derivs, 0.0)
+    g = ResidualIntegrand(p, w, l, 0.25)
+    inputs = [y, *derivs, l.coeffs, *w.tensors]
+    before = [a.tobytes() for a in inputs]
+    for s in (_frozen(0.3), _frozen(np.linspace(0.0, 1.0, 5))):
+        l.eval_offset(s)
+        g(s)
+        integrate_w_of_l(w, l, 0.25)
+    for pt in (y, _frozen(y[:, None] + np.linspace(0.0, 0.5, 3))):
+        w(pt)
+    # writable inputs are not written either
+    s, pts = np.linspace(0.0, 1.0, 5), y[:, None] + np.linspace(0.0, 0.5, 3)
+    s_bytes, pts_bytes = s.tobytes(), pts.tobytes()
+    l.eval_offset(s)
+    g(s)
+    w(pts)
+    assert s.tobytes() == s_bytes and pts.tobytes() == pts_bytes
+    assert [a.tobytes() for a in inputs] == before
