@@ -38,7 +38,7 @@ from .errors import (
     UnknownProblemError,
 )
 from .problem import catalog, catalog_names
-from .quad import check_seed
+from .quad import check_count
 from .solver import BOOSTED_MODES, MODES, SolveConfig, solve, sup_error
 
 __all__ = [
@@ -102,7 +102,7 @@ class ExperimentConfig:
                                              "comma-separated Holder exponents, e.g. 1.0")
     n_values: tuple[int, ...] = _setting((8, 16, 32, 64), "experiment", "n", "--n-grid", _list_of(int),
                                          "comma-separated step counts, e.g. 8,16,32")
-    delta: float = _setting(0.1, "experiment", "delta", "--delta", float,
+    delta: float = _setting(SolveConfig.delta, "experiment", "delta", "--delta", float,
                             "overall failure budget in (0, 1/2)")
     seeds: tuple[int, ...] = _setting((0,), "experiment", "seeds", "--seeds", _list_of(int),
                                       "comma-separated seeds, e.g. 0,1,2")
@@ -111,31 +111,25 @@ class ExperimentConfig:
     out: str = _setting("-", "experiment", "out", "--out", str, "CSV output path, '-' for stdout")
     timing: bool = _setting(False, "experiment", "timing", "--timing", _boolean,
                             "record wall times (breaks byte-for-byte reproducibility)")
-    cost_constant: float = _setting(4.0, "experiment", "cost_constant", None, float)
-    c: float = _setting(3.0, "experiment", "c", None, float)
+    cost_constant: float = _setting(SolveConfig.cost_constant, "experiment", "cost_constant", None, float)
+    c: float = _setting(SolveConfig.c, "experiment", "c", None, float)
     eta: Optional[float] = _setting(None, "problem", "eta", None, float)
     interval: Optional[tuple[float, float]] = _setting(None, "problem", "interval", None, _list_of(float))
 
     def __post_init__(self):
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ConfigError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n grid must list positive integers")
-        if not 0.0 < self.delta < 0.5:
-            raise ConfigError(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.samples_per_step < 2:
-            raise ConfigError("samples_per_step must be at least 2")
-        for name in ("problems", "modes", "r_values", "rho_values", "seeds"):
+        for name in ("problems", "modes", "r_values", "rho_values", "n_values", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must list at least one value")
-        for seed in self.seeds:
-            try:
-                check_seed(seed)
-            except ContractViolationError as exc:
-                raise ConfigError(str(exc)) from None
         if not self.out:
             raise ConfigError("out must be a path or '-'")
+        # The solver settings are checked by the code that reads them.
+        try:
+            for mode, n, seed in product(self.modes, self.n_values, self.seeds):
+                SolveConfig(n=n, mode=mode, delta=self.delta, seed=seed,
+                            cost_constant=self.cost_constant, c=self.c)
+            check_count("samples_per_step", self.samples_per_step, 2)  # sup_error's rule
+        except ContractViolationError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 SETTINGS = tuple((f.name, f.metadata["setting"]) for f in dataclasses.fields(ExperimentConfig))

@@ -28,7 +28,8 @@ class DivergenceError(RuntimeError):
 class StationaryStartError(ContractViolationError):
     """``f(eta) = 0``: the solver does not support a stationary start.
 
-    ``ledger`` holds what the failed solve had charged (the start check).
+    ``ledger`` holds what the failed solve had charged: the first step's
+    Taylor data ``w_0``, from which the check reads ``f(eta)``.
     """
 
     def __init__(self, ledger):

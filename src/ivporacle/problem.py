@@ -81,10 +81,10 @@ class CostLedger:
     ``classical_evals`` counts plain evaluations of ``f`` or its partial
     derivatives, ``oracle_queries`` queries to an integral functional or
     oracle, and ``repetitions`` boosting repetitions.  Counters only ever
-    increase.  A solve charges each evaluation once: the start check
-    ``f(eta)`` and, per step, ``f(y_i)`` and each distinct partial up to
-    order ``r`` are classical evaluations; the step's correction goes to one
-    counter by mode:
+    increase.  A solve charges each evaluation once: per step, ``f(y_i)``
+    and each distinct partial up to order ``r`` are classical evaluations
+    (the stationary-start check reads ``f(eta)`` from the first step's);
+    the step's correction goes to one counter by mode:
 
     * ``det_exact``: ``dim`` queries (one exact functional per component);
     * ``det_values``: the quadrature's points, as classical evaluations;

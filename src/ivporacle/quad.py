@@ -107,9 +107,12 @@ class OracleConfig:
 
     def __post_init__(self):
         check_real("eps1", self.eps1, 0, math.inf)
-        if len(self.smoothness) != 2:
-            raise ContractViolationError(f"smoothness must be an (r, rho) pair, got {self.smoothness!r}")
-        smooth = HolderSmoothness(*self.smoothness)
+        try:
+            r, rho = self.smoothness
+        except (TypeError, ValueError):
+            raise ContractViolationError(
+                f"smoothness must be an (r, rho) pair, got {self.smoothness!r}") from None
+        smooth = HolderSmoothness(r, rho)
         object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
         check_seed(self.seed)
         check_real("cost_constant", self.cost_constant, 0, math.inf)
@@ -121,10 +124,10 @@ def check_seed(seed) -> None:
         raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as an ``int``; it must be an ``int`` or ``np.integer`` (bool excluded), at least 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ContractViolationError(f"{name} must be a positive integer, got {value!r}")
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an ``int``: an ``int`` or ``np.integer`` (bool excluded) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractViolationError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
 
 

@@ -26,9 +26,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError, DomainError, StationaryStartError
-from .problem import CostLedger, IVPProblem, eval_rhs
-# boost_median and derive_seed are unused here; they stay module attributes
-# because the benchmark's tracer (perfbench/spans.py) patches them by name.
+# eval_rhs, boost_median and derive_seed are unused here; they stay module
+# attributes because the benchmark's tracer (perfbench/spans.py) patches them
+# by name.
+from .problem import CostLedger, IVPProblem, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
     IntegralEstimate,
     OracleConfig,
@@ -190,8 +191,8 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
 
     Raises :class:`DivergenceError` if the state norm exceeds
     ``1e6 (1 + |eta|)``, and :class:`StationaryStartError` if ``f(eta) = 0``
-    (the standing assumption, checked here where the first evaluation
-    happens anyway).  Both carry the ledger charged so far.
+    (the standing assumption, read off the first step's Taylor data ``w_0``,
+    so the check costs no evaluation).  Both carry the ledger charged so far.
     """
     a, b = problem.interval
     n = cfg.n
@@ -200,11 +201,6 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     rho = problem.smoothness.rho
     scale = h ** (r + rho + 1.0)
     ledger = CostLedger()
-
-    f_eta = eval_rhs(problem, problem.eta, ledger)
-    if np.max(np.abs(f_eta)) == 0.0:
-        raise StationaryStartError(ledger)
-
     mode = _MODES[cfg.mode]
     oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed,
                               cost_constant=cfg.cost_constant)
@@ -218,6 +214,8 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     for i in range(n):
         x_i = a + i * h
         w_i = build_w(problem, y, ledger)
+        if i == 0 and np.max(np.abs(w_i.tensors[0])) == 0.0:
+            raise StationaryStartError(ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         step_integral = integrate_w_of_l(w_i, l_i, h)
         g_i = ResidualIntegrand(problem, w_i, l_i, h)
@@ -259,18 +257,19 @@ def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
     included, so grid states and interiors are both audited.  Each block of
     ``AUDIT_PIECES`` pieces is evaluated in one batched Horner pass;
     ``reference`` is called once per sample, piece by piece, with an
-    ``np.float64`` time, and must return a ``(dim,)`` array.  A NaN gap at
-    any sample makes the result NaN.
+    ``np.float64`` time, and must return a ``(dim,)`` array.  The
+    breakpoints must increase strictly.  A NaN gap at any sample makes the
+    result NaN.
     """
-    if check_count("samples_per_step", samples_per_step) < 2:
-        raise ContractViolationError("samples_per_step must be at least 2")
+    check_count("samples_per_step", samples_per_step, 2)
     try:
         coeffs = np.array([piece.coeffs for piece in traj.pieces])  # (n, degree + 1, dim)
-        if coeffs.ndim != 3 or np.shape(traj.breakpoints) != (len(coeffs) + 1,):
+        if (coeffs.ndim != 3 or np.shape(traj.breakpoints) != (len(coeffs) + 1,)
+                or not np.all(np.diff(traj.breakpoints) > 0)):
             raise ValueError
     except ValueError:
         raise ContractViolationError("a trajectory needs n pieces of one degree and dim "
-                                     "and n + 1 breakpoints") from None
+                                     "and n + 1 strictly increasing breakpoints") from None
     dim = coeffs.shape[2]
     centers = np.array([piece.center for piece in traj.pieces])
     gaps = []

@@ -45,6 +45,14 @@ class TestExperimentConfig:
         dict(r_values=()),
         dict(rho_values=()),
         dict(seeds=(0, -1)),
+        dict(delta="0.1"),
+        dict(n_values=("8",)),
+        dict(n_values=(2.5,)),
+        dict(samples_per_step="8"),
+        dict(samples_per_step=2.5),
+        dict(cost_constant=math.nan),
+        dict(cost_constant="4"),
+        dict(c=-1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -78,9 +86,9 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0].error == "divergence:step=33"
         assert math.isnan(rows[0].sup_error)
-        # charged up to the diverging step: 1 start check + 34 steps of one f
-        # value, one f' and one det_exact functional
-        assert (rows[0].classical_evals, rows[0].oracle_queries, rows[0].repetitions) == (69, 34, 0)
+        # charged up to the diverging step: 34 steps of one f value, one f'
+        # and one det_exact functional
+        assert (rows[0].classical_evals, rows[0].oracle_queries, rows[0].repetitions) == (68, 34, 0)
 
     def test_stationary_start_becomes_flagged_row(self):
         # logistic f(1) = 0; scalar-exponential f(1) = 1 still runs
@@ -89,7 +97,7 @@ class TestRunSweep:
         flagged, ok = run_sweep(cfg)
         assert flagged.error == "stationary-start"
         assert math.isnan(flagged.sup_error)
-        # the start check is the one evaluation charged before the failure
+        # step 0's f value, which the check reads, is all that was charged
         assert (flagged.classical_evals, flagged.oracle_queries, flagged.repetitions) == (1, 0, 0)
         assert ok.problem == "scalar-exponential" and ok.error == ""
         assert math.isfinite(ok.sup_error)

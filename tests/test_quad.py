@@ -71,6 +71,8 @@ class TestEstimateAndConfigContracts:
         dict(eps1=True, smoothness=(0, 1.0)),
         dict(eps1=0.1, smoothness=(0, 1.0), cost_constant="4"),
         dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=None),
+        dict(eps1=0.1, smoothness=1),
+        dict(eps1=0.1, smoothness=None),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ContractViolationError):

@@ -104,7 +104,6 @@ def per_repetition_stepper(problem, cfg):
     h = (b - a) / n
     r, rho = problem.smoothness.r, problem.smoothness.rho
     ledger = CostLedger()
-    eval_rhs(problem, problem.eta, ledger)
     oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho),
                               seed=cfg.seed, cost_constant=cfg.cost_constant)
     k = repetitions_for(cfg.delta, n, cfg.c)
@@ -354,7 +353,10 @@ class TestSupError:
         hand_trajectory([[[1.0]], [[1.0, 2.0]]], (0.0, 0.5, 1.0)),  # dims 1 and 2
         hand_trajectory([[[1.0]], [[1.0]]], (0.0, 1.0)),  # two pieces, two breakpoints
         hand_trajectory([], (0.0,)),  # no pieces
-    ], ids=["degree", "dim", "breakpoints", "empty"])
+        hand_trajectory([[[1.0]], [[1.0]]], (0.0, 0.5, 0.5)),  # a zero-width piece
+        hand_trajectory([[[1.0]], [[1.0]]], (1.0, 0.5, 0.0)),  # decreasing
+        hand_trajectory([[[1.0]], [[1.0]]], (0.0, np.nan, 1.0)),  # NaN breakpoint
+    ], ids=["degree", "dim", "breakpoints", "empty", "repeated", "decreasing", "nan"])
     def test_mixed_or_short_trajectory_rejected(self, traj):
         with pytest.raises(ContractViolationError):
             sup_error(traj, lambda t: np.array([0.0]))
@@ -428,19 +430,19 @@ def test_probabilistic_order_bound(mode):
 
 
 #: Exact (classical_evals, oracle_queries, repetitions) per mode, by the rule
-#: in the CostLedger docstring.  Classical: 1 start check + per step one fetch
-#: of f and of each distinct partial, 1 at r = 0 and 1 + 4 + 6 + 8 = 19 for
-#: the 2-d problem at r = 3; det_values adds its quadrature points (32 and 4
-#: per step).  Queries: dim per det_exact step, k times the per-call budget
+#: in the CostLedger docstring.  Classical: per step one fetch of f and of
+#: each distinct partial, 1 at r = 0 and 1 + 4 + 6 + 8 = 19 for the 2-d
+#: problem at r = 3 (the stationary-start check reads f(eta) from step 0's);
+#: det_values adds its quadrature points (32 and 4 per step).  Queries: dim per det_exact step, k times the per-call budget
 #: per boosted step (16 points or 12 modeled queries at r = 0, k = 19; 6 for
 #: both at r = 3, k = 16).
 LEDGERS = {
     ("scalar-exponential", 0, 8): {
-        "det_exact": (9, 8, 0), "det_values": (265, 0, 0),
-        "randomized": (9, 2432, 152), "quantum_sim": (9, 1824, 152)},
+        "det_exact": (8, 8, 0), "det_values": (264, 0, 0),
+        "randomized": (8, 2432, 152), "quantum_sim": (8, 1824, 152)},
     ("integration-reduction:cos-pi", 3, 4): {
-        "det_exact": (77, 8, 0), "det_values": (93, 0, 0),
-        "randomized": (77, 384, 64), "quantum_sim": (77, 384, 64)},
+        "det_exact": (76, 8, 0), "det_values": (92, 0, 0),
+        "randomized": (76, 384, 64), "quantum_sim": (76, 384, 64)},
 }
 
 
