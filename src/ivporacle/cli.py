@@ -122,14 +122,23 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must list at least one value")
         if not self.out:
             raise ConfigError("out must be a path or '-'")
-        # The solver settings are checked by the code that reads them.
+        if not isinstance(self.timing, bool):  # a truthy string would record wall times
+            raise ConfigError(f"timing must be a bool, got {self.timing!r}")
+        # The problem and solver settings are checked by the code that reads them.
         try:
+            _problems(self)
             for mode, n, seed in product(self.modes, self.n_values, self.seeds):
                 SolveConfig(n=n, mode=mode, delta=self.delta, seed=seed,
                             cost_constant=self.cost_constant, c=self.c)
             check_count("samples_per_step", self.samples_per_step, 2)  # sup_error's rule
-        except ContractViolationError as exc:
+        except (ContractViolationError, DomainError, UnknownProblemError) as exc:
             raise ConfigError(str(exc)) from None
+
+
+def _problems(config: ExperimentConfig) -> dict:
+    """The sweep's problems, keyed by ``(name, r, rho)``."""
+    return {(name, r, rho): catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
+            for name, r, rho in product(config.problems, config.r_values, config.rho_values)}
 
 
 SETTINGS = tuple((f.name, f.metadata["setting"]) for f in dataclasses.fields(ExperimentConfig))
@@ -160,9 +169,7 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run every sweep cell; divergence and a stationary start become flagged
     rows with the ledger charged before the failure, not a crash."""
-    # Built before the first cell, so a bad problem fails before any solve.
-    problems = {(name, r, rho): catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
-                for name, r, rho in product(config.problems, config.r_values, config.rho_values)}
+    problems = _problems(config)
     rows = []
     for problem_name, mode, r, rho, n, seed in product(
             config.problems, config.modes, config.r_values, config.rho_values,

@@ -348,8 +348,24 @@ def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEsti
 
 
 def median_of(batch: IntegralEstimate) -> IntegralEstimate:
-    """Componentwise median of a batch of ``(k, dim)`` runs, at their summed price."""
-    return IntegralEstimate(value=np.median(batch.value, axis=0), queries=batch.queries)
+    """Componentwise median of a batch of ``(k, dim)`` runs, at their summed price.
+
+    Equal to ``np.median(batch.value, axis=0)`` bit for bit, without its
+    generic reduction machinery: the same ``np.partition`` call puts the
+    middle entries and, last, any NaN in place, so even a NaN's sign and
+    payload match.  The median is the middle entry for odd ``k`` and the
+    mean of the middle two for even ``k``, both summed from ``+0.0`` as
+    ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.  A column
+    holding a NaN gets the NaN its last partitioned entry holds.
+    """
+    k = len(batch.value)
+    m = k // 2
+    s = np.partition(batch.value, [m, -1] if k % 2 else [m - 1, m, -1], axis=0)
+    median = 0.0 + s[m] if k % 2 else (0.0 + s[m - 1] + s[m]) / 2
+    nan = np.isnan(s[-1])
+    if nan.any():
+        median = np.where(nan, s[-1], median)
+    return IntegralEstimate(value=median, queries=batch.queries)
 
 
 def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:

@@ -21,7 +21,7 @@ rule in :class:`~ivporacle.problem.CostLedger`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -116,16 +116,28 @@ class Trajectory:
 
 
 class _Run(NamedTuple):
-    """What a corrector needs beyond the step's residual."""
+    """What a corrector needs beyond the step's residual; ``gen`` is the
+    solve's own Philox generator, ``None`` in the unboosted modes."""
 
     ledger: CostLedger
     oracle: OracleConfig
     k: int
+    gen: Optional[np.random.Generator]
 
     def rng(self, i: int) -> np.random.Generator:
-        """Step ``i``'s Philox stream, keyed by ``(oracle.seed, i)``; its k runs draw one block."""
-        key = np.array([self.oracle.seed, i], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """Step ``i``'s Philox stream, keyed by ``(oracle.seed, i)``; its k runs draw one block.
+
+        The solve's generator is rekeyed in place to the state a fresh
+        ``Philox(key=np.array([seed, i], dtype=np.uint64))`` starts in:
+        counter and buffer zero, buffer empty, no spare 32-bit half.  So the
+        stream is that of a fresh generator, without its seed hashing.
+        """
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (int(self.oracle.seed), i)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return self.gen
 
 
 def reference_tol(scale: float, f_y: np.ndarray) -> float:
@@ -205,7 +217,8 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed,
                               cost_constant=cfg.cost_constant)
     k = repetitions_for(cfg.delta, n, cfg.c) if mode.boosted else 1
-    run = _Run(ledger=ledger, oracle=oracle_cfg, k=k)
+    gen = np.random.Generator(np.random.Philox(key=0)) if mode.boosted else None
+    run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, gen=gen)
 
     bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
     y = problem.eta  # rebound each step, never written to

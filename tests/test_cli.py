@@ -53,6 +53,18 @@ class TestExperimentConfig:
         dict(cost_constant=math.nan),
         dict(cost_constant="4"),
         dict(c=-1.0),
+        dict(timing="false"),
+        dict(timing=1),
+        dict(problems=("lorenz",)),
+        dict(problems=("logistic:cos-pi",)),
+        dict(r_values=(2.5,)),
+        dict(r_values=(4,)),
+        dict(rho_values=("1",)),
+        dict(rho_values=(0.0,)),
+        dict(eta="x"),
+        dict(eta=math.nan),
+        dict(interval=(1.0,)),
+        dict(interval=(1.0, 0.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -290,6 +302,8 @@ SETTING_CASES = {
     "eta": ("problem", "eta", "0.3", 0.3, None, None),
     "interval": ("problem", "interval", "0.0, 2.0", (0.0, 2.0), None, None),
 }
+# Flags a setting's case needs to make a valid sweep: rho < 1 needs r >= 1.
+SETTING_CONTEXT = {"rho_values": ["--r", "1"]}
 
 
 @pytest.mark.parametrize("name,setting", SETTINGS, ids=[name for name, _ in SETTINGS])
@@ -299,8 +313,9 @@ def test_setting_from_file_and_flag(name, setting, tmp_path):
     assert setting.flag == (flag_argv[0] if flag_argv else None)
     cfg_file = tmp_path / "one.ini"
     cfg_file.write_text(f"[{section}]\n{key} = {text}\n")
-    from_file = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)]))
+    context = SETTING_CONTEXT.get(name, [])
+    from_file = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)] + context))
     assert getattr(from_file, name) == value
     if flag_argv:
-        both = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)] + flag_argv))
+        both = _config_from_args(_build_parser().parse_args(["--config", str(cfg_file)] + context + flag_argv))
         assert getattr(both, name) == flag_value

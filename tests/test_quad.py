@@ -391,6 +391,28 @@ class TestBoostMedian:
         with pytest.raises(ContractViolationError):
             boost_median(lambda j: None, k)
 
+    def test_median_of_equals_numpy_median(self):
+        """Seeded fuzz against ``np.median``, the old body, kept as the
+        oracle: same bytes at k = 1..41, dim 1..3, with NaNs of either sign
+        and another payload, +-inf, +-0.0 and values whose sum overflows
+        mixed in."""
+        gen = np.random.default_rng(2026)
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+        specials = np.array([np.nan, -np.nan, payload_nan, np.inf, -np.inf, 0.0, -0.0,
+                             1e308, -1e308, 1.0, 5e-324])
+        for _ in range(500):
+            for k in range(1, 42):
+                dim = int(gen.integers(1, 4))
+                value = gen.normal(size=(k, dim))
+                pick = gen.random((k, dim)) < gen.random()
+                value[pick] = gen.choice(specials, size=int(pick.sum()))
+                # inf + -inf and 1e308 + 1e308 warn in both
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = np.median(value, axis=0)
+                    got = median_of(IntegralEstimate(value=value, queries=k))
+                assert got.value.tobytes() == want.tobytes(), value
+                assert got.queries == k
+
     def test_runs_receive_their_index(self):
         seen = []
         def run(j):

@@ -512,6 +512,35 @@ def test_batched_boosting_matches_per_repetition_runs(mode, name, r):
         assert traj.ledger == ledger
 
 
+def fresh_stream(seed, i):
+    """Step ``i``'s stream as a new generator.  The key is a uint64 array:
+    ``key=[seed, i]`` goes through float64 and so mangles a seed such as
+    2**64 - 1 that float64 cannot hold."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+
+
+def draw_mix(gen):
+    """Draws that read the 32-bit half store and the 64-bit buffer in turn."""
+    return [gen.integers(0, 2 ** 32, size=3, dtype=np.uint32).tobytes(), gen.random(5).tobytes(),
+            gen.integers(0, 2 ** 32, size=1, dtype=np.uint32).tobytes(), gen.standard_normal(4).tobytes()]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)])
+def test_rekeyed_stream_equals_a_fresh_generator(seed):
+    """The solve's one generator, rekeyed per step, draws what a new
+    ``Philox`` keyed by ``(seed, i)`` draws, whatever state the previous
+    step left it in: mid-buffer, or holding a spare 32-bit half."""
+    oracle = OracleConfig(eps1=0.1, smoothness=(0, 1.0), seed=seed)
+    run = solver._Run(ledger=CostLedger(), oracle=oracle, k=1, gen=np.random.Generator(np.random.Philox()))
+    for i, leftover in enumerate([lambda g: None, lambda g: g.random(1),
+                                  lambda g: g.integers(0, 10, size=3, dtype=np.uint32),
+                                  lambda g: g.integers(0, 10, size=1, dtype=np.uint32), draw_mix]):
+        gen = run.rng(i)
+        assert gen is run.gen
+        assert draw_mix(gen) == draw_mix(fresh_stream(seed, i))
+        leftover(gen)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
 def test_jet_and_per_partial_solves_are_identical(mode, name):
