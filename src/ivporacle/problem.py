@@ -1,18 +1,18 @@
 """Problem definitions for autonomous initial value problems.
 
 A problem is the ODE ``z'(t) = f(z(t))`` on ``[a, b]`` with ``z(a) = eta``,
-together with the declared smoothness class ``(r, rho)`` of ``f``, an
-oracle that serves values and partial derivatives of ``f`` up to order ``r``
-and, optionally, a jet that serves all of them at one point in one call.
-Everything downstream (local Taylor models, integral oracles, the stepper)
-talks to the right-hand side exclusively through these two, and all
-evaluation costs are tallied on a :class:`CostLedger`.
+together with the declared smoothness class ``(r, rho)`` of ``f`` and two
+callables: ``f`` itself, vectorized over points, and a jet that serves the
+values and all partial derivatives of ``f`` up to order ``r`` at one point
+in one call.  Everything downstream (local Taylor models, integral oracles,
+the stepper) talks to the right-hand side exclusively through these two, and
+all evaluation costs are tallied on a :class:`CostLedger`.
 
 The named problems of :func:`catalog` are data: a scalar entry is one row of
 ``f``, its derivatives, its closed-form solution and its defaults, and an
 integrand of ``integration-reduction`` is one row of ``g``, its derivatives
 and its antiderivative; one builder per shape turns a row into a problem,
-whose oracle and jet both read the row.
+whose ``f`` and jet both read the row.
 """
 
 from __future__ import annotations
@@ -119,40 +119,43 @@ class CostLedger:
         return self.classical_evals + self.oracle_queries
 
 
-#: Oracle signature: ``oracle(y, component, alpha) -> float`` where ``alpha``
-#: is a multi-index over the state variables.  Batched calls receive ``y`` of
-#: shape ``(dim, m)`` and return shape ``(m,)``.
-RhsOracle = Callable[[np.ndarray, int, tuple[int, ...]], "float | np.ndarray"]
+#: Right-hand side signature: ``f(y)`` maps a point ``(dim,)`` to ``(dim,)``
+#: and a batch ``(dim, m)`` to ``(dim, m)``, one column per point.
+Rhs = Callable[[np.ndarray], np.ndarray]
 
 #: Jet signature: ``jet(y, r) -> (T_0, ..., T_r)`` with ``T_j = f^(j)(y) / j!``
 #: of shape ``(dim,) * (j + 1)``, component axis first, every index
-#: permutation filled: the whole order-``r`` Taylor data at one point ``(dim,)``.
+#: permutation filled: the whole order-``r`` Taylor data at one point
+#: ``(dim,)``, ``T_0 = f(y)``.
 Jet = Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
 
 
 @dataclasses.dataclass(frozen=True)
 class IVPProblem:
-    """An autonomous initial value problem with derivative-oracle access.
+    """An autonomous initial value problem ``z' = f(z)``, given as ``(f, jet)``.
 
-    ``jet``, when given, serves in one call the same partials as
-    ``rhs_oracle``, bit for bit; :func:`~ivporacle.taylor.build_w` then uses
-    it in place of one oracle call per partial.  Instances are immutable;
-    solves never mutate the problem, only their own private
+    ``f`` serves values at points (:func:`eval_rhs`) and ``jet`` the
+    order-``r`` Taylor data at one point (:func:`~ivporacle.taylor.build_w`);
+    see :data:`Rhs` and :data:`Jet` for their shapes.  Instances are
+    immutable; solves never mutate the problem, only their own private
     :class:`CostLedger`.
     """
 
     dim: int
     interval: tuple[float, float]
     eta: np.ndarray
-    rhs_oracle: RhsOracle
+    f: Rhs
+    jet: Jet
     smoothness: HolderSmoothness
     reference: Optional[Callable[[float], np.ndarray]] = None
     name: str = "custom"
-    jet: Optional[Jet] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ContractViolationError("dim must be at least 1")
+        for field, value in (("f", self.f), ("jet", self.jet)):
+            if not callable(value):
+                raise ContractViolationError(f"{field} must be callable, got {value!r}")
         a, b = float(self.interval[0]), float(self.interval[1])
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"interval ends must be finite, got ({a}, {b})")
@@ -203,7 +206,7 @@ def eval_partial(
     Returns
     -------
     float
-        ``d^alpha f_component(y)``.
+        ``d^alpha f_component(y)``, read off ``problem.jet(y, sum(alpha))``.
     """
     y = _check_point(problem, y)
     if not 0 <= component < problem.dim:
@@ -211,13 +214,16 @@ def eval_partial(
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != problem.dim or any(a < 0 for a in alpha):
         raise ContractViolationError(f"alpha must be {problem.dim} non-negative integers, got {alpha}")
-    if sum(alpha) > problem.smoothness.r:
+    order = sum(alpha)
+    if order > problem.smoothness.r:
         raise ContractViolationError(
-            f"partial of order {sum(alpha)} requested but only r = {problem.smoothness.r} declared"
+            f"partial of order {order} requested but only r = {problem.smoothness.r} declared"
         )
+    # the sorted index (i1 <= ... <= i_order) of the tensor entry alpha names
+    index = tuple(i for i, a in enumerate(alpha) for _ in range(a))
     if ledger is not None:
         ledger.charge_classical(1)
-    return float(problem.rhs_oracle(y, component, alpha))
+    return float(problem.jet(y, order)[order][(component, *index)]) * math.factorial(order)
 
 
 def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = None) -> np.ndarray:
@@ -225,16 +231,15 @@ def eval_rhs(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = 
 
     Accepts a single point of shape ``(dim,)`` or a batch of shape
     ``(dim, m)`` and returns the matching shape.  Charges one classical
-    evaluation of ``f`` per point.
+    evaluation of ``f`` per point, and returns a fresh array that the
+    caller may write into.
     """
     y = _check_point(problem, y, batch=True)
-    zero = (0,) * problem.dim
-    npoints = 1 if y.ndim == 1 else y.shape[1]
     if ledger is not None:
-        ledger.charge_classical(npoints)
-    out = np.empty(y.shape, dtype=float)
-    for j in range(problem.dim):
-        out[j] = problem.rhs_oracle(y, j, zero)
+        ledger.charge_classical(1 if y.ndim == 1 else y.shape[1])
+    out = np.array(problem.f(y), dtype=float)
+    if out.shape != y.shape:
+        raise ContractViolationError(f"f must return the point's shape {y.shape}, got {out.shape}")
     return out
 
 
@@ -284,7 +289,7 @@ _G_REGISTRY = {
 
 def _scalar(name: str, key: Optional[str], smooth: HolderSmoothness, eta: tuple[float],
             interval: tuple[float, float]) -> IVPProblem:
-    # Row ``name`` of _SCALAR_ROWS; ``alpha`` has one entry, the order.
+    # Row ``name`` of _SCALAR_ROWS; ``f`` is its first entry, elementwise.
     if key is not None:
         raise UnknownProblemError(f"{name} takes no ':<key>', got {name}:{key}")
     derivs, solution, _, _ = _SCALAR_ROWS[name]
@@ -299,9 +304,8 @@ def _scalar(name: str, key: Optional[str], smooth: HolderSmoothness, eta: tuple[
         z = y[0]
         return tuple(np.full((1,) * (j + 1), derivs[j](z) / math.factorial(j)) for j in range(r + 1))
 
-    return IVPProblem(dim=1, interval=interval, eta=np.array(eta),
-                      rhs_oracle=lambda y, component, alpha: derivs[alpha[0]](y[0]), smoothness=smooth,
-                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name, jet=jet)
+    return IVPProblem(dim=1, interval=interval, eta=np.array(eta), f=derivs[0], jet=jet, smoothness=smooth,
+                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name)
 
 
 def _integration_reduction(name: str, key: Optional[str], smooth: HolderSmoothness,
@@ -313,12 +317,11 @@ def _integration_reduction(name: str, key: Optional[str], smooth: HolderSmoothne
         raise UnknownProblemError(f"unknown integrand key {key!r}; known: {', '.join(_G_REGISTRY)}")
     derivs, anti = _G_REGISTRY[key]
 
-    def oracle(y, component, alpha):
-        if component == 0:
-            return np.ones_like(y[0]) if sum(alpha) == 0 else np.zeros_like(y[0])
-        if alpha[1] > 0:
-            return np.zeros_like(y[0])
-        return derivs[alpha[0]](y[0])
+    def f(y):
+        out = np.empty(y.shape)
+        out[0] = 1.0
+        out[1] = derivs[0](y[0])
+        return out
 
     def jet(y, r):
         # only d^j v' / du^j is nonzero beyond the constant u' = 1
@@ -336,8 +339,8 @@ def _integration_reduction(name: str, key: Optional[str], smooth: HolderSmoothne
     def reference(t):
         return np.array([u0 + (t - a), v0 + anti(u0 + (t - a)) - anti(u0)])
 
-    return IVPProblem(dim=2, interval=interval, eta=np.array(eta), rhs_oracle=oracle, smoothness=smooth,
-                      reference=reference, name=f"{name}:{key}", jet=jet)
+    return IVPProblem(dim=2, interval=interval, eta=np.array(eta), f=f, jet=jet, smoothness=smooth,
+                      reference=reference, name=f"{name}:{key}")
 
 
 #: Every entry: its builder, default ``eta`` (one value per component) and

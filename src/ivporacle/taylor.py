@@ -1,6 +1,6 @@
 """Local Taylor machinery for one solver step.
 
-Per step the solver builds, from derivative-oracle data at the current state
+Per step the solver builds, from the problem's jet at the current state
 ``y_i``, fetched once:
 
 * ``w`` -- the order ``r`` Taylor expansion of ``f`` around ``y_i``,
@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs
+# eval_partial is unused here; it stays a module attribute because the
+# benchmark's tracer (perfbench/spans.py) patches it by name.
+from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
 from .quad import _gauss_rule
 
 __all__ = [
@@ -93,28 +94,6 @@ class VecPolynomial:
 
     def __call__(self, t):
         return self.eval_offset(np.asarray(t, dtype=float) - self.center)
-
-
-def _derivative_tensor(problem: IVPProblem, y: np.ndarray, order: int,
-                       ledger: Optional[CostLedger]) -> np.ndarray:
-    """Dense symmetric tensor of all order-``order`` partials of ``f`` at ``y``.
-
-    Shape ``(dim,) * (order + 1)`` with the component axis first.  Each
-    distinct partial is fetched from the oracle exactly once and copied to
-    every index permutation.
-    """
-    d = problem.dim
-    tensor = np.empty((d,) * (order + 1), dtype=float)
-    for comp in range(d):
-        # one sorted index tuple (i1 <= ... <= i_order) per distinct partial
-        for idxs in itertools.combinations_with_replacement(range(d), order):
-            alpha = [0] * d
-            for i in idxs:
-                alpha[i] += 1
-            val = eval_partial(problem, y, comp, alpha, ledger)
-            for perm in set(itertools.permutations(idxs)):
-                tensor[(comp,) + perm] = val
-    return tensor
 
 
 def local_derivatives(w: TaylorMap, upto: int) -> list[np.ndarray]:
@@ -213,25 +192,32 @@ class TaylorMap:
         return acc[:, 0] if scalar else acc
 
 
+@functools.lru_cache(maxsize=None)
+def _jet_layout(dim: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Shapes ``(dim,) * (j + 1)`` of an order-``r`` jet's tensors, and the count of distinct
+    values they hold: ``f`` once and ``dim * C(dim + j - 1, j)`` partials of each order ``j``."""
+    return (tuple((dim,) * (j + 1) for j in range(r + 1)),
+            1 + sum(dim * math.comb(dim + j - 1, j) for j in range(1, r + 1)))
+
+
 def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = None) -> TaylorMap:
     """Order ``r`` Taylor map of ``f`` around a point ``y`` of shape ``(dim,)``:
-    the one place a step fetches (and charges) ``f`` and its partials, each
-    distinct one once.
+    the one place a step fetches (and charges) ``f`` and its partials.
 
-    With ``problem.jet`` the data comes from one jet call, charged by count:
-    ``f`` once and ``dim * C(dim + j - 1, j)`` partials of each order ``j``.
-    Without it, from ``f(y)`` and one oracle call per distinct partial.
+    The data comes from one ``problem.jet(y, r)`` call, charged by count
+    (see :func:`_jet_layout`).  A jet that does not return ``r + 1`` arrays
+    of shapes ``(dim,) * (j + 1)`` raises :class:`ContractViolationError`.
     """
     r = problem.smoothness.r
     y = _check_point(problem, y)
-    if problem.jet is not None:
-        d = problem.dim
-        if ledger is not None:
-            ledger.charge_classical(1 + sum(d * math.comb(d + j - 1, j) for j in range(1, r + 1)))
-        return TaylorMap(center=y, tensors=tuple(problem.jet(y, r)))
-    tensors = [eval_rhs(problem, y, ledger)]
-    for j in range(1, r + 1):
-        tensors.append(_derivative_tensor(problem, y, j, ledger) / math.factorial(j))
+    tensors = problem.jet(y, r)
+    want, count = _jet_layout(problem.dim, r)
+    got = (tuple([getattr(t, "shape", None) for t in tensors]) if isinstance(tensors, (tuple, list))
+           else tensors)
+    if type(got) is not tuple or got != want:
+        raise ContractViolationError(f"jet(y, {r}) must return arrays of shapes {want}, got {got}")
+    if ledger is not None:
+        ledger.charge_classical(count)
     return TaylorMap(center=y, tensors=tuple(tensors))
 
 

@@ -1,16 +1,23 @@
-"""Shared fixtures: independent reference quadrature and in-class integrands.
+"""Shared fixtures: independent reference quadrature, in-class integrands and
+a per-partial reference for the catalog's jets.
 
 The reference integrator here is deliberately not the library's own
 (single-shot composite Gauss at a fixed node count, no panel doubling), so
 quadrature assertions compare two separate implementations.  The integrand
 factory draws random members of the Holder class the oracles are specified
-for, each with a closed-form integral.
+for, each with a closed-form integral.  The per-partial oracle reads the
+catalog's row tables one partial at a time, as the package did before a
+problem became ``(f, jet)``; its jet must equal the catalog's bit for bit.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+
+from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS
 
 # one composite Gauss rule, frozen: 16 points per panel
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
@@ -76,3 +83,45 @@ def make_kink_integrand(rng, r, rho, dim=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def per_partial_oracle(name):
+    """``oracle(y, component, alpha)``: one partial of catalog row ``name``
+    at a point ``y``, with ``alpha`` a multi-index over the state variables."""
+    base, _, key = name.partition(":")
+    if base in _SCALAR_ROWS:
+        derivs = _SCALAR_ROWS[base][0]
+        return lambda y, component, alpha: derivs[alpha[0]](y[0])
+    derivs = _G_REGISTRY[key or "cos-pi"][0]
+
+    def oracle(y, component, alpha):
+        # u' = 1 and v' = g(u): only the u-partials of v' are nonzero beyond f
+        if component == 0:
+            return np.ones_like(y[0]) if sum(alpha) == 0 else np.zeros_like(y[0])
+        if alpha[1] > 0:
+            return np.zeros_like(y[0])
+        return derivs[alpha[0]](y[0])
+
+    return oracle
+
+
+def per_partial_jet(oracle, dim):
+    """A jet built from one ``oracle`` call per distinct partial.
+
+    ``T_0`` holds the ``dim`` values; each order-``j`` partial, fetched once
+    per sorted index ``i1 <= ... <= ij``, is copied to every permutation of
+    its index and the tensor divided by ``j!``.
+    """
+    def jet(y, r):
+        tensors = [np.array([oracle(y, c, (0,) * dim) for c in range(dim)], dtype=float)]
+        for order in range(1, r + 1):
+            tensor = np.empty((dim,) * (order + 1))
+            for comp in range(dim):
+                for idxs in itertools.combinations_with_replacement(range(dim), order):
+                    value = float(oracle(y, comp, [idxs.count(i) for i in range(dim)]))
+                    for perm in set(itertools.permutations(idxs)):
+                        tensor[(comp,) + perm] = value
+            tensors.append(tensor / math.factorial(order))
+        return tuple(tensors)
+
+    return jet

@@ -21,6 +21,7 @@ from ivporacle import (
     eval_rhs,
 )
 from ivporacle.problem import _G_REGISTRY
+from conftest import per_partial_jet, per_partial_oracle
 
 
 def make_smoothness(r=1, rho=1.0):
@@ -49,21 +50,38 @@ class TestHolderSmoothness:
 
 @pytest.mark.parametrize("name", catalog_names() + ("integration-reduction:cos-pi",))
 def test_batched_oracle_keeps_the_batch_shape_for_every_alpha(name):
-    """A batch ``(dim, m)`` gives ``(m,)`` values for every partial up to
-    order 3, constant ones included, with the point-by-point bits; a zero
-    derivative is +0.0 at a negative state too."""
+    """``f`` on a batch ``(dim, m)`` gives ``(dim, m)`` with the
+    point-by-point bits; the jet entry of every partial up to order 3 that
+    is zero is +0.0 at a negative state too."""
     p = catalog(name, r=3)
     y = p.eta[:, None] + np.linspace(-1.5, 0.5, 5)
-    for comp in range(p.dim):
-        for order in range(4):
-            for idxs in itertools.combinations_with_replacement(range(p.dim), order):
-                alpha = tuple(idxs.count(i) for i in range(p.dim))
-                batch = np.asarray(p.rhs_oracle(y, comp, alpha))
-                assert batch.shape == (5,)
-                singles = np.array([eval_partial(p, y[:, j], comp, alpha) for j in range(5)])
-                assert batch.astype(float).tobytes() == singles.tobytes()
-                if p.dim == 1:
-                    assert not np.any(np.signbit(batch) & (batch == 0.0))
+    batch = eval_rhs(p, y)
+    assert batch.shape == (p.dim, 5)
+    singles = np.stack([eval_rhs(p, y[:, j]) for j in range(5)], axis=1)
+    assert batch.tobytes() == singles.tobytes()
+    if p.dim == 1:
+        for j in range(5):
+            for t in p.jet(y[:, j], 3):
+                assert not np.any(np.signbit(t) & (t == 0.0))
+
+
+def test_eval_partial_reads_the_jet():
+    """Orders 0-2 give the per-partial oracle's bits; order 3 is the jet
+    entry times 3!, which may differ from it by one rounding."""
+    for name in catalog_names():
+        p = catalog(name, r=3)
+        oracle = per_partial_oracle(name)
+        for y in (p.eta, p.eta - 1.3):
+            for comp in range(p.dim):
+                for order in range(4):
+                    for idxs in itertools.combinations_with_replacement(range(p.dim), order):
+                        alpha = tuple(idxs.count(i) for i in range(p.dim))
+                        want = float(oracle(y, comp, alpha))
+                        got = eval_partial(p, y, comp, alpha)
+                        if order < 3:
+                            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                        else:
+                            assert abs(got - want) <= np.spacing(abs(want)), (name, y, alpha)
 
 
 class TestCostLedger:
@@ -85,7 +103,33 @@ class TestCostLedger:
             getattr(ledger, method)(-1)
 
 
+def _zero(y):
+    return np.zeros(np.shape(y))
+
+
+def _zero_jet(y, r):
+    return tuple(np.zeros((len(y),) * (j + 1)) for j in range(r + 1))
+
+
+def make_problem(dim=1, f=_zero, jet=_zero_jet, r=1):
+    """A hand-built problem on [0, 1] from eta = 1."""
+    return IVPProblem(dim=dim, interval=(0.0, 1.0), eta=np.ones(dim), f=f, jet=jet,
+                      smoothness=make_smoothness(r=r))
+
+
 class TestIVPProblem:
+    def test_f_and_jet_serve_eval_rhs_and_build_w(self):
+        p = make_problem(f=lambda y: np.cos(y), jet=lambda y, r: (np.cos(y), -np.sin(y)[:, None]))
+        assert p.name == "custom" and p.reference is None
+        assert eval_rhs(p, p.eta)[0] == np.cos(1.0)
+        assert build_w(p, p.eta).tensors[1][0, 0] == -np.sin(1.0)
+
+    @pytest.mark.parametrize("field", ["f", "jet"])
+    @pytest.mark.parametrize("value", [None, 1.0, np.zeros(1)])
+    def test_non_callable_f_or_jet_rejected(self, field, value):
+        with pytest.raises(ContractViolationError, match=field):
+            make_problem(**{field: value})
+
     def test_eta_is_read_only(self):
         p = catalog("scalar-exponential")
         with pytest.raises(ValueError):
@@ -94,23 +138,23 @@ class TestIVPProblem:
     def test_eta_shape_checked(self):
         with pytest.raises(ContractViolationError):
             IVPProblem(dim=2, interval=(0.0, 1.0), eta=np.array([1.0]),
-                       rhs_oracle=lambda y, c, a: 0.0, smoothness=make_smoothness())
+                       f=_zero, jet=_zero_jet, smoothness=make_smoothness())
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ContractViolationError):
             IVPProblem(dim=1, interval=(1.0, 1.0), eta=np.array([1.0]),
-                       rhs_oracle=lambda y, c, a: 0.0, smoothness=make_smoothness())
+                       f=_zero, jet=_zero_jet, smoothness=make_smoothness())
 
     def test_nonfinite_eta_rejected(self):
         with pytest.raises(DomainError):
             IVPProblem(dim=1, interval=(0.0, 1.0), eta=np.array([np.inf]),
-                       rhs_oracle=lambda y, c, a: 0.0, smoothness=make_smoothness())
+                       f=_zero, jet=_zero_jet, smoothness=make_smoothness())
 
     @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
     def test_nonfinite_interval_rejected(self, interval):
         with pytest.raises(DomainError):
             IVPProblem(dim=1, interval=interval, eta=np.array([1.0]),
-                       rhs_oracle=lambda y, c, a: 0.0, smoothness=make_smoothness())
+                       f=_zero, jet=_zero_jet, smoothness=make_smoothness())
 
 
 class TestEvalPartial:
@@ -168,13 +212,34 @@ class TestEvalRhs:
         np.testing.assert_allclose(out[1], np.cos(np.pi * pts[0]), atol=1e-14)
         assert ledger.classical_evals == 5
 
+    @pytest.mark.parametrize("f", [
+        lambda y: np.zeros(2),
+        lambda y: y[0],
+        lambda y: np.zeros((1,) + y.shape),
+        lambda y: 0.0,
+    ], ids=["dim-2", "no-component-axis", "extra-axis", "scalar"])
+    def test_f_of_the_wrong_shape_rejected(self, f):
+        p = make_problem(f=f)
+        for y in (np.array([0.3]), np.full((1, 4), 0.3)):
+            with pytest.raises(ContractViolationError, match="shape"):
+                eval_rhs(p, y)
+
+    def test_result_is_a_fresh_array(self):
+        """f may return its argument; the caller may still write into the result."""
+        for p in (catalog("scalar-exponential"), make_problem(f=lambda y: y)):
+            for y in (np.array([0.3]), np.full((1, 4), 0.3)):
+                out = eval_rhs(p, y)
+                out *= 2.0
+                assert np.all(y == 0.3)
+
 
 #: Each user of a point, called on problem ``p`` and point ``y``.
 _POINT_USERS = {
     "eval_rhs": lambda p, y: eval_rhs(p, y),
     "eval_partial": lambda p, y: eval_partial(p, y, 0, (0,) * p.dim),
     "build_w": lambda p, y: build_w(p, y),
-    "build_w without jet": lambda p, y: build_w(dataclasses.replace(p, jet=None), y),
+    "build_w with a per-partial jet": lambda p, y: build_w(
+        dataclasses.replace(p, jet=per_partial_jet(per_partial_oracle(p.name), p.dim)), y),
 }
 
 
@@ -184,7 +249,7 @@ _POINT_USERS = {
     for name, shape in [("logistic", ()), ("logistic", (1, 1, 1)), ("logistic", (2,)),
                         ("integration-reduction", (1,)), ("integration-reduction", (3, 4)),
                         ("integration-reduction", (2, 2, 2))]
-] + [(user, name, shape) for user in ("eval_partial", "build_w", "build_w without jet")
+] + [(user, name, shape) for user in ("eval_partial", "build_w", "build_w with a per-partial jet")
      for name, shape in [("logistic", (1, 1)), ("integration-reduction", (2, 1))]])
 def test_bad_point_shape_raises_typed_error(user, name, shape):
     """A point is (dim,); only eval_rhs also takes a batch (dim, m)."""

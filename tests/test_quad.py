@@ -295,7 +295,7 @@ class TestBatchedRuns:
         # generator in the same state.
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         cfg = make_cfg(1e-2, r=1)
-        stream = lambda: np.random.Generator(np.random.Philox(key=[5, 3]))
+        stream = lambda: np.random.Generator(np.random.Philox(key=np.array([5, 3], dtype=np.uint64)))
         call = on_integrand(oracle, g)
         batch = call(cfg, rng=stream(), k=6)
         gen = stream()

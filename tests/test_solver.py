@@ -47,6 +47,7 @@ from ivporacle import (
 from ivporacle import solver
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.solver import reference_tol
+from conftest import per_partial_jet, per_partial_oracle
 
 
 def modified_euler(problem, cfg):
@@ -76,7 +77,7 @@ def modified_euler(problem, cfg):
             return (fv - w) * h ** (-rho)
 
         g.dim = problem.dim
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
         if cfg.mode == "det_exact":
             a_i = integrate_reference(lambda u: g(u, y=y, f0=f0), tol=reference_tol(h ** (-rho), f0))
         elif cfg.mode == "det_values":
@@ -114,7 +115,7 @@ def per_repetition_stepper(problem, cfg):
         w_i = build_w(problem, y, ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         g = ResidualIntegrand(problem, w_i, l_i, h)
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
         if cfg.mode == "randomized":
             run = lambda j: integrate_randomized(g, oracle_cfg, rng=gen)
         else:
@@ -502,7 +503,7 @@ class TestCostAccounting:
 def test_batched_boosting_matches_per_repetition_runs(mode, name, r):
     """All k repetitions of a step in one oracle call: same states, same ledger."""
     p = catalog(name, r=r)
-    configs = [SolveConfig(n=8, mode=mode, seed=seed) for seed in (0, 5)]
+    configs = [SolveConfig(n=8, mode=mode, seed=seed) for seed in (0, 5, 2 ** 64 - 1)]
     configs.append(SolveConfig(n=8, mode=mode, seed=3, delta=0.49, c=0.01))
     assert repetitions_for(0.49, 8, 0.01) == 1
     for cfg in configs:
@@ -544,14 +545,16 @@ def test_rekeyed_stream_equals_a_fresh_generator(seed):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
 def test_jet_and_per_partial_solves_are_identical(mode, name):
-    """Dropping the jet changes nothing: same states, pieces and ledger."""
+    """A jet built from one oracle call per partial changes nothing: same
+    states, pieces and ledger."""
     for r in range(4):
         p = catalog(name, r=r)
         cfg = SolveConfig(n=9, mode=mode, seed=5)
-        with_jet, without = solve(p, cfg), solve(dataclasses.replace(p, jet=None), cfg)
-        assert with_jet.endpoints.tobytes() == without.endpoints.tobytes()
-        assert [q.coeffs.tobytes() for q in with_jet.pieces] == [q.coeffs.tobytes() for q in without.pieces]
-        assert with_jet.ledger == without.ledger
+        per_partial = dataclasses.replace(p, jet=per_partial_jet(per_partial_oracle(name), p.dim))
+        got, want = solve(p, cfg), solve(per_partial, cfg)
+        assert got.endpoints.tobytes() == want.endpoints.tobytes()
+        assert [q.coeffs.tobytes() for q in got.pieces] == [q.coeffs.tobytes() for q in want.pieces]
+        assert got.ledger == want.ledger
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -569,7 +572,7 @@ def test_seed_reproducibility(mode):
 def test_general_stepper_specializes_to_modified_euler(mode, name):
     """At r = 0 the stepper is modified Euler, bit for bit."""
     p = catalog(name, r=0)
-    for seed in range(3):
+    for seed in (0, 1, 2, 2 ** 64 - 1):
         cfg = SolveConfig(n=8, mode=mode, seed=seed)
         states = modified_euler(p, cfg)
         traj = solve(p, cfg)

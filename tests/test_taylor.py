@@ -27,8 +27,7 @@ from ivporacle import (
     local_derivatives,
 )
 from ivporacle.problem import _G_REGISTRY
-from ivporacle.taylor import _derivative_tensor
-from conftest import reference_integral
+from conftest import per_partial_jet, per_partial_oracle, reference_integral
 
 
 class TestVecPolynomial:
@@ -175,6 +174,23 @@ class TestBuildW:
         single = np.stack([w(ys[:, j]) for j in range(6)], axis=1)
         np.testing.assert_array_equal(batch, single)
 
+    @pytest.mark.parametrize("bad", [
+        lambda good, y, r: good(y, r)[:-1],
+        lambda good, y, r: good(y, r) + (np.zeros((2,) * (r + 2)),),
+        lambda good, y, r: good(y, r)[:1] + (np.zeros((2, 2, 2)),) + good(y, r)[2:],
+        lambda good, y, r: (np.zeros(3),) + good(y, r)[1:],
+        lambda good, y, r: (good(y, r)[0][None, :],) + good(y, r)[1:],
+        lambda good, y, r: None,
+    ], ids=["one-tensor-short", "one-tensor-too-many", "T1-of-order-2", "T0-of-dim-3", "T0-batched",
+            "None"])
+    def test_jet_of_the_wrong_shape_rejected(self, bad):
+        p = catalog("integration-reduction", r=2)
+        broken = dataclasses.replace(p, jet=lambda y, r: bad(p.jet, y, r))
+        ledger = CostLedger()
+        with pytest.raises(ContractViolationError, match="jet"):
+            build_w(broken, p.eta, ledger)
+        assert ledger.classical_evals == 0
+
 
 def _bits(a):
     return a.shape, a.dtype, a.tobytes()
@@ -184,21 +200,28 @@ def _bits(a):
 @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_jet_matches_per_partial_path_bit_for_bit(name, r):
-    """The jet gives the tensors eval_rhs and one oracle call per partial
-    give, and build_w charges what the per-partial path charges."""
+    """The jet gives the tensors of one oracle call per distinct partial,
+    its T_0 is f, and build_w charges f once and each partial once."""
     p = catalog(name, r=r)
-    per_partial = dataclasses.replace(p, jet=None)
+    oracle, orders = per_partial_oracle(name), []
+
+    def counted(y, component, alpha):
+        orders.append(sum(alpha))
+        return oracle(y, component, alpha)
+
+    reference_jet = per_partial_jet(counted, p.dim)
     a, b = p.interval
     points = [np.asarray(p.reference(a + frac * (b - a))) for frac in (0.0, 0.4, 1.0)]
     points += [np.full(p.dim, c) for c in (-1.3, 0.0, 2.9)]
     for y in points:
-        want = [eval_rhs(p, y)] + [_derivative_tensor(p, y, j, None) / math.factorial(j)
-                                   for j in range(1, r + 1)]
+        orders.clear()
+        want = reference_jet(y, r)
         assert [_bits(t) for t in p.jet(y, r)] == [_bits(t) for t in want]
-        ledger, per_partial_ledger = CostLedger(), CostLedger()
-        w, w_ref = build_w(p, y, ledger), build_w(per_partial, y, per_partial_ledger)
-        assert [_bits(t) for t in w.tensors] == [_bits(t) for t in w_ref.tensors]
-        assert ledger == per_partial_ledger
+        assert _bits(eval_rhs(p, y)) == _bits(want[0])
+        ledger = CostLedger()
+        w = build_w(p, y, ledger)
+        assert [_bits(t) for t in w.tensors] == [_bits(t) for t in want]
+        assert ledger.classical_evals == 1 + np.count_nonzero(orders)
         assert ledger.classical_evals == 1 + sum(p.dim * math.comb(p.dim + j - 1, j) for j in range(1, r + 1))
 
 
