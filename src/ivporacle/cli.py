@@ -36,9 +36,10 @@ from .errors import (
     DomainError,
     StationaryStartError,
     UnknownProblemError,
+    check_count,
+    check_real,
 )
 from .problem import catalog, catalog_names
-from .quad import check_count
 from .solver import BOOSTED_MODES, MODES, SolveConfig, solve, sup_error
 
 __all__ = [
@@ -252,6 +253,7 @@ def estimate_cost_exponent(rows: Sequence[SweepRow], delta: float = 0.1) -> floa
     first, removing the repetition factor so the slope isolates the power
     law.
     """
+    check_real("delta", delta, 0, 0.5)  # SolveConfig's rule
     if not rows:
         raise ContractViolationError("estimate_cost_exponent needs rows")
     mode = rows[0].mode

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of count, real
+and seed arguments that raise them: ``int``, ``float`` and numpy numbers pass,
+``bool``, strings and other types such as ``fractions.Fraction`` do not."""
+
+import numpy as np
 
 
 class ContractViolationError(ValueError):
@@ -35,3 +39,28 @@ class StationaryStartError(ContractViolationError):
     def __init__(self, ledger):
         self.ledger = ledger
         super().__init__("f(eta) must be nonzero (stationary start not supported)")
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an ``int``: an ``int`` or ``np.integer`` (bool excluded) of at least ``least``."""
+    # an exact int skips the slower isinstance checks; bool is an int subclass
+    if ((type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)))
+            or value < least):
+        raise ContractViolationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a ``float``: an int, float or numpy number (bool excluded) in ``(lo, hi)``."""
+    if ((type(value) is not float
+         and (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))))
+            or not lo < value < hi):
+        raise ContractViolationError(f"{name} must be a number in ({lo}, {hi}), got {value!r}")
+    return float(value)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``: an ``int`` or ``np.integer`` (bool excluded) in ``[0, 2**64)``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
+    return int(seed)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, UnknownProblemError
+from .errors import ContractViolationError, DomainError, UnknownProblemError, check_count, check_real
 
 __all__ = [
     "HolderSmoothness",
@@ -55,18 +54,14 @@ class HolderSmoothness:
     rho: float
 
     def __post_init__(self):
-        r, rho = self.r, self.rho
-        # exact int and float skip the slower ABC checks; bool is neither
-        if ((type(r) is not int and (isinstance(r, bool) or not isinstance(r, numbers.Integral)))
-                or not 0 <= r <= MAX_ORDER):
-            raise ContractViolationError(f"r must be an integer in [0, {MAX_ORDER}], got {r!r}")
-        if ((type(rho) is not float and (isinstance(rho, bool) or not isinstance(rho, numbers.Real)))
-                or not 0.0 < rho <= 1.0):
-            raise ContractViolationError(f"rho must be a real number in (0, 1], got {rho!r}")
+        r = check_count("r", self.r, 0)
+        rho = check_real("rho", self.rho, 0, math.inf)
+        if r > MAX_ORDER or rho > 1.0:
+            raise ContractViolationError(f"need r <= {MAX_ORDER} and rho <= 1, got ({r}, {rho})")
         if r == 0 and rho != 1.0:
             raise ContractViolationError("r = 0 requires rho = 1")
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "rho", float(rho))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def order(self) -> float:
@@ -100,19 +95,13 @@ class CostLedger:
     repetitions: int = 0
 
     def charge_classical(self, count: int = 1) -> None:
-        if count < 0:
-            raise ContractViolationError("cost increments must be non-negative")
-        self.classical_evals += count
+        self.classical_evals += check_count("count", count, 0)
 
     def charge_queries(self, count: int) -> None:
-        if count < 0:
-            raise ContractViolationError("cost increments must be non-negative")
-        self.oracle_queries += count
+        self.oracle_queries += check_count("count", count, 0)
 
     def charge_repetitions(self, count: int) -> None:
-        if count < 0:
-            raise ContractViolationError("cost increments must be non-negative")
-        self.repetitions += count
+        self.repetitions += check_count("count", count, 0)
 
     @property
     def total(self) -> int:
@@ -151,12 +140,15 @@ class IVPProblem:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ContractViolationError("dim must be at least 1")
+        object.__setattr__(self, "dim", check_count("dim", self.dim))
         for field, value in (("f", self.f), ("jet", self.jet)):
             if not callable(value):
                 raise ContractViolationError(f"{field} must be callable, got {value!r}")
-        a, b = float(self.interval[0]), float(self.interval[1])
+        if not (self.reference is None or callable(self.reference)):
+            raise ContractViolationError(f"reference must be None or callable, got {self.reference!r}")
+        if not isinstance(self.smoothness, HolderSmoothness):
+            raise ContractViolationError(f"smoothness must be a HolderSmoothness, got {self.smoothness!r}")
+        a, b = _numbers("interval", self.interval, 2)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"interval ends must be finite, got ({a}, {b})")
         if not a < b:

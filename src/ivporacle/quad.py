@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_count, check_real, check_seed
 from .problem import HolderSmoothness
 
 __all__ = [
@@ -85,8 +85,7 @@ class IntegralEstimate:
             v = v.reshape(1)
         v.setflags(write=False)
         object.__setattr__(self, "value", v)
-        if self.queries < 0:
-            raise ContractViolationError("queries must be non-negative")
+        object.__setattr__(self, "queries", check_count("queries", self.queries, 0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,26 +115,6 @@ class OracleConfig:
         object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
         check_seed(self.seed)
         check_real("cost_constant", self.cost_constant, 0, math.inf)
-
-
-def check_seed(seed) -> None:
-    """Reject a seed that is not an ``int`` or ``np.integer`` (bool excluded) in ``[0, 2**64)``."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
-        raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
-
-
-def check_count(name: str, value, least: int = 1) -> int:
-    """``value`` as an ``int``: an ``int`` or ``np.integer`` (bool excluded) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ContractViolationError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
-def check_real(name: str, value, lo: float, hi: float) -> None:
-    """Reject a ``value`` outside ``(lo, hi)`` or not an int, float or numpy number (bool excluded)."""
-    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
-            or not lo < value < hi):
-        raise ContractViolationError(f"{name} must be a number in ({lo}, {hi}), got {value!r}")
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -386,7 +365,9 @@ def derive_seed(base: int, *path: int) -> int:
     """Fold a base seed and an integer path into a fresh 64-bit seed.
 
     Deterministic and collision-resistant: every path, such as a test's
-    (trial, repetition) pair, gets its own independent seed.
+    (trial, repetition) pair, gets its own independent seed.  ``base`` is a
+    seed as :class:`OracleConfig` takes it; each path entry is an integer
+    ``>= 0``.
     """
-    ss = np.random.SeedSequence([int(base)] + [int(p) for p in path])
+    ss = np.random.SeedSequence([check_seed(base)] + [check_count("path entry", p, 0) for p in path])
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, DomainError, StationaryStartError
+from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
+                     check_count, check_real, check_seed)
 # eval_rhs, boost_median and derive_seed are unused here; they stay module
 # attributes because the benchmark's tracer (perfbench/spans.py) patches them
 # by name.
@@ -34,9 +35,6 @@ from .quad import (  # noqa: F401
     IntegralEstimate,
     OracleConfig,
     boost_median,
-    check_count,
-    check_real,
-    check_seed,
     derive_seed,
     integrate_deterministic,
     integrate_quantum_sim,

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_count, check_real
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
@@ -62,8 +62,8 @@ class VecPolynomial:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2:
-            raise ContractViolationError("coeffs must be a (degree+1, dim) array")
+        if c.ndim != 2 or 0 in c.shape:
+            raise ContractViolationError(f"coeffs must be a (degree+1, dim) array, got shape {c.shape}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -108,8 +108,8 @@ def local_derivatives(w: TaylorMap, upto: int) -> list[np.ndarray]:
     The partials are read off the map, ``f^(j) = j! w.tensors[j]``, so no
     evaluation is made.  Needs ``upto <= w.order + 1``.
     """
-    if not 0 <= upto <= w.order + 1:
-        raise ContractViolationError(f"upto must lie in [0, r+1] = [0, {w.order + 1}], got {upto}")
+    if check_count("upto", upto, 0) > w.order + 1:
+        raise ContractViolationError(f"upto must be at most r + 1 = {w.order + 1}, got {upto}")
     out = [w.center.copy()]
     if upto == 0:
         return out
@@ -137,12 +137,10 @@ def build_l(derivs: Sequence[np.ndarray], x_i: float) -> VecPolynomial:
     ``derivs`` lists ``z(x_i), z'(x_i), ..., z^(q)(x_i)``; the result has
     degree ``q`` and coefficients ``derivs[k] / k!`` in the shifted basis.
     """
-    if len(derivs) == 0:
-        raise ContractViolationError("derivs must contain at least the value itself")
     coeffs = np.array(derivs, dtype=float)
     if coeffs.ndim == 1:  # scalar derivatives: dim 1
         coeffs = coeffs[:, None]
-    # row k over k!, whatever the trailing shape, so a bad one meets VecPolynomial's check
+    # row k over k!, whatever the shape, so a bad one (or none) meets VecPolynomial's check
     return VecPolynomial(center=float(x_i), coeffs=(coeffs.T / _factorials(len(coeffs))).T)
 
 
@@ -174,6 +172,8 @@ class TaylorMap:
     def __call__(self, y):
         """Evaluate at a point ``(dim,)`` or batch ``(dim, m)``."""
         y = np.asarray(y, dtype=float)
+        if y.ndim not in (1, 2) or y.shape[0] != self.dim:
+            raise ContractViolationError(f"point must be ({self.dim},) or ({self.dim}, m), got {y.shape}")
         scalar = y.ndim == 1
         pts = y[:, None] if scalar else y
         t = self.tensors
@@ -228,8 +228,7 @@ def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
     Gauss rule with ``w.order * l.degree // 2 + 1`` nodes integrates it
     exactly up to rounding; no right-hand-side evaluation is made.
     """
-    if not h > 0:
-        raise ContractViolationError(f"step size h must be positive, got {h!r}")
+    check_real("h", h, 0, math.inf)
     nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
     return h * (w(l.eval_offset(nodes * h)) @ weights)
 
@@ -250,9 +249,7 @@ class ResidualIntegrand:
     h: float
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ContractViolationError("step size h must be positive")
-        self.h = float(self.h)
+        self.h = check_real("h", self.h, 0, math.inf)
         self.scale = self.h ** (-self.problem.smoothness.order)
 
     @property

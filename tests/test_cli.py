@@ -187,6 +187,12 @@ class TestEstimateCostExponent:
         with pytest.raises(ContractViolationError):
             estimate_cost_exponent([make_row(8, 0.1, classical=10)])
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5, -0.1, math.nan, "0.1", True])
+    def test_delta_domain(self, delta):
+        rows = [make_row(n, 0.1, mode="randomized", classical=n) for n in (4, 16, 64)]
+        with pytest.raises(ContractViolationError):
+            estimate_cost_exponent(rows, delta=delta)
+
 
 CONFIG_TEXT = """\
 [experiment]

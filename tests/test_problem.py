@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,15 +34,19 @@ class TestHolderSmoothness:
         sm = HolderSmoothness(r=2, rho=0.5)
         assert sm.order == 2.5
 
-    @pytest.mark.parametrize("r", [-1, 4, 1.5])
+    @pytest.mark.parametrize("r", [-1, 4, 1.5, True, "1", None])
     def test_r_out_of_range(self, r):
         with pytest.raises(ContractViolationError):
             HolderSmoothness(r=r, rho=1.0)
 
-    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, Fraction(1, 2), "1", True, None, np.nan])
     def test_rho_out_of_range(self, rho):
         with pytest.raises(ContractViolationError):
             make_smoothness(r=1, rho=rho)
+
+    def test_numpy_numbers_normalized(self):
+        sm = HolderSmoothness(r=np.int64(2), rho=np.float64(0.5))
+        assert type(sm.r) is int and type(sm.rho) is float and sm.order == 2.5
 
     def test_r0_forces_plain_lipschitz(self):
         with pytest.raises(ContractViolationError):
@@ -99,8 +104,18 @@ class TestCostLedger:
     @pytest.mark.parametrize("method", ["charge_classical", "charge_queries", "charge_repetitions"])
     def test_negative_increment_rejected(self, method):
         ledger = CostLedger()
-        with pytest.raises(ContractViolationError):
-            getattr(ledger, method)(-1)
+        for count in (-1, 2.5, "1", True, None):
+            with pytest.raises(ContractViolationError):
+                getattr(ledger, method)(count)
+        assert ledger == CostLedger()
+
+    def test_numpy_counts_stay_int(self):
+        ledger = CostLedger()
+        ledger.charge_classical(np.int64(3))
+        ledger.charge_queries(np.uint32(4))
+        ledger.charge_repetitions(np.int64(0))
+        assert (ledger.classical_evals, ledger.oracle_queries, ledger.repetitions) == (3, 4, 0)
+        assert all(type(c) is int for c in (ledger.classical_evals, ledger.oracle_queries, ledger.repetitions))
 
 
 def _zero(y):
@@ -129,6 +144,22 @@ class TestIVPProblem:
     def test_non_callable_f_or_jet_rejected(self, field, value):
         with pytest.raises(ContractViolationError, match=field):
             make_problem(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim", "1"), ("dim", True), ("dim", 1.0), ("dim", 0),
+        ("interval", ("a", 1.0)), ("interval", 0.5), ("interval", (0.0, 0.5, 1.0)),
+        ("smoothness", (1, 1.0)), ("smoothness", None), ("reference", 3.0),
+    ])
+    def test_malformed_field_rejected(self, field, value):
+        kwargs = dict(dim=1, interval=(0.0, 1.0), eta=np.ones(1), f=_zero, jet=_zero_jet,
+                      smoothness=make_smoothness())
+        with pytest.raises(ContractViolationError, match=field):
+            IVPProblem(**{**kwargs, field: value})
+
+    def test_numpy_dim_and_interval_accepted(self):
+        p = IVPProblem(dim=np.int64(2), interval=np.array([0.0, 2.0]), eta=np.ones(2), f=_zero,
+                       jet=_zero_jet, smoothness=make_smoothness(), reference=lambda t: np.ones(2))
+        assert type(p.dim) is int and p.interval == (0.0, 2.0)
 
     def test_eta_is_read_only(self):
         p = catalog("scalar-exponential")

@@ -6,6 +6,7 @@ themselves.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,8 +48,13 @@ class TestEstimateAndConfigContracts:
             est.value[0] = 1.0
 
     def test_negative_queries_rejected(self):
-        with pytest.raises(ContractViolationError):
-            IntegralEstimate(value=0.0, queries=-1)
+        for queries in (-1, 2.5, "3", True, None):
+            with pytest.raises(ContractViolationError):
+                IntegralEstimate(value=0.0, queries=queries)
+
+    def test_numpy_queries_stored_as_int(self):
+        est = IntegralEstimate(value=0.0, queries=np.int64(3))
+        assert type(est.queries) is int and est.queries == 3
 
     @pytest.mark.parametrize("kwargs", [
         dict(eps1=0.0, smoothness=(0, 1.0)),
@@ -73,6 +79,8 @@ class TestEstimateAndConfigContracts:
         dict(eps1=0.1, smoothness=(0, 1.0), cost_constant=None),
         dict(eps1=0.1, smoothness=1),
         dict(eps1=0.1, smoothness=None),
+        dict(eps1=0.1, smoothness=(1, Fraction(1, 2))),
+        dict(eps1=0.1, smoothness=(1.0, 1.0)),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ContractViolationError):
@@ -479,6 +487,17 @@ class TestDeriveSeed:
     def test_range(self):
         s = derive_seed(2 ** 63, 999)
         assert 0 <= s < 2 ** 64
+
+    @pytest.mark.parametrize("base,path", [
+        (-1, (2,)), (1.5, ()), (True, ()), ("1", ()), (2 ** 64, ()), (None, ()),
+        (1, (-1,)), (1, (0.5,)), (1, (True,)), (1, ("2",)),
+    ])
+    def test_bad_base_or_path_rejected(self, base, path):
+        with pytest.raises(ContractViolationError):
+            derive_seed(base, *path)
+
+    def test_numpy_integers_accepted(self):
+        assert derive_seed(np.uint64(42), np.int64(3)) == derive_seed(42, 3)
 
 
 def test_simultaneous_boosted_success_rate(rng):

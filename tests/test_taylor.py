@@ -51,8 +51,9 @@ class TestVecPolynomial:
             p.coeffs[0, 0] = 2.0
 
     def test_bad_coeff_shape(self):
-        with pytest.raises(ContractViolationError):
-            VecPolynomial(center=0.0, coeffs=np.ones(3))
+        for shape in ((3,), (0, 1), (0, 2), (2, 0), (1, 1, 1)):
+            with pytest.raises(ContractViolationError):
+                VecPolynomial(center=0.0, coeffs=np.ones(shape))
 
 
 class TestLocalDerivatives:
@@ -97,9 +98,14 @@ class TestLocalDerivatives:
         np.testing.assert_allclose(derivs[0], [0.3])
 
     def test_upto_beyond_r_plus_one_rejected(self):
-        p = catalog("scalar-exponential", r=1)
-        with pytest.raises(ContractViolationError):
-            local_derivatives(build_w(p, np.array([1.0])), 3)
+        w = build_w(catalog("scalar-exponential", r=1), np.array([1.0]))
+        for upto in (3, -1, 1.5, True, "1", None, np.float64(1.0)):
+            with pytest.raises(ContractViolationError):
+                local_derivatives(w, upto)
+
+    def test_numpy_upto_accepted(self):
+        w = build_w(catalog("scalar-quadratic", r=1), np.array([1.0]))
+        np.testing.assert_array_equal(np.concatenate(local_derivatives(w, np.int64(2))), [1.0, 1.0, 2.0])
 
     def test_each_partial_fetched_once(self):
         # dim 1, r 2: build_w fetches one f value, one f', one f''; the
@@ -174,6 +180,19 @@ class TestBuildW:
         single = np.stack([w(ys[:, j]) for j in range(6)], axis=1)
         np.testing.assert_array_equal(batch, single)
 
+    @pytest.mark.parametrize("name,r,point", [
+        ("logistic", 1, np.zeros(3)),
+        ("logistic", 1, np.zeros((2, 4))),
+        ("integration-reduction", 1, np.zeros(1)),
+        ("integration-reduction", 2, np.zeros((1, 4))),
+        ("integration-reduction", 0, np.zeros((2, 2, 2))),
+        ("integration-reduction", 1, np.float64(0.0)),
+    ])
+    def test_point_of_the_wrong_dimension_rejected(self, name, r, point):
+        p = catalog(name, r=r)
+        with pytest.raises(ContractViolationError, match="point"):
+            build_w(p, p.eta)(point)
+
     @pytest.mark.parametrize("bad", [
         lambda good, y, r: good(y, r)[:-1],
         lambda good, y, r: good(y, r) + (np.zeros((2,) * (r + 2)),),
@@ -245,7 +264,7 @@ class TestIntegrateWofL:
     def test_empty_interval_rejected(self):
         w = TaylorMap(center=np.array([0.0]), tensors=(np.array([1.0]),))
         l = build_l([np.zeros(1)], x_i=0.0)
-        for h in (0.0, -0.1, math.nan):
+        for h in (0.0, -0.1, math.nan, math.inf, "1", None, True):
             with pytest.raises(ContractViolationError):
                 integrate_w_of_l(w, l, h)
 
@@ -324,8 +343,9 @@ class TestResidual:
         y = np.array([1.0])
         w = build_w(p, y)
         l = build_l(local_derivatives(w, 1), 0.0)
-        with pytest.raises(ContractViolationError):
-            ResidualIntegrand(p, w, l, 0.0)
+        for h in (0.0, -0.1, math.nan, math.inf, "1", None, True):
+            with pytest.raises(ContractViolationError):
+                ResidualIntegrand(p, w, l, h)
 
 
 @pytest.mark.parametrize("name,r,rho", [
