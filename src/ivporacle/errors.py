@@ -50,11 +50,14 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is an int, float or numpy number, bool excluded."""
+    return not isinstance(value, bool) and isinstance(value, (float, int, np.floating, np.integer))
+
+
 def check_real(name: str, value, lo: float, hi: float) -> float:
-    """``value`` as a ``float``: an int, float or numpy number (bool excluded) in ``(lo, hi)``."""
-    if ((type(value) is not float
-         and (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))))
-            or not lo < value < hi):
+    """``value`` as a ``float``: a real (see :func:`is_real`) in ``(lo, hi)``."""
+    if (type(value) is not float and not is_real(value)) or not lo < value < hi:  # exact float: fast path
         raise ContractViolationError(f"{name} must be a number in ({lo}, {hi}), got {value!r}")
     return float(value)
 

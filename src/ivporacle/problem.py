@@ -23,7 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError, UnknownProblemError, check_count, check_real
+from .errors import (ContractViolationError, DomainError, UnknownProblemError, check_count, check_real,
+                     is_real)
 
 __all__ = [
     "HolderSmoothness",
@@ -154,9 +155,7 @@ class IVPProblem:
         if not a < b:
             raise ContractViolationError(f"interval must satisfy a < b, got ({a}, {b})")
         object.__setattr__(self, "interval", (a, b))
-        eta = np.asarray(self.eta, dtype=float).reshape(-1)
-        if eta.shape != (self.dim,):
-            raise ContractViolationError(f"eta must have {self.dim} components, got shape {eta.shape}")
+        eta = np.array(_numbers("eta", self.eta, self.dim))
         if not np.all(np.isfinite(eta)):
             raise DomainError("eta must be finite")
         eta.setflags(write=False)
@@ -344,13 +343,11 @@ _CATALOG = {
 
 
 def _numbers(name: str, value, count: int) -> tuple[float, ...]:
-    """``value`` as ``count`` floats; a scalar counts as one."""
-    try:
-        v = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ContractViolationError(f"{name} must be {count} number(s), got {value!r}") from None
-    if v.size != count:
-        raise ContractViolationError(f"{name} must be {count} number(s), got {v.size}")
+    """``value`` as ``count`` floats, a scalar counting as one.  Each must pass
+    :func:`~ivporacle.errors.is_real` (no bool or string); non-finite ones are left to the caller."""
+    v = np.asarray(value, dtype=object).reshape(-1)
+    if v.size != count or not all(map(is_real, v)):
+        raise ContractViolationError(f"{name} must be {count} real number(s), got {value!r}")
     return tuple(float(x) for x in v)
 
 

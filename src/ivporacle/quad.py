@@ -96,7 +96,8 @@ class OracleConfig:
     the ``(r, rho)`` pair of the integrand class, checked by
     :class:`~ivporacle.problem.HolderSmoothness`; ``seed`` a non-negative
     64-bit base seed (read only by the randomized oracles); ``cost_constant``
-    the finite positive multiplier in every query-budget formula.
+    the finite positive multiplier in every query-budget formula.  Reals are
+    stored as ``float`` and the seed as ``int``.
     """
 
     eps1: float
@@ -105,7 +106,8 @@ class OracleConfig:
     cost_constant: float = 4.0
 
     def __post_init__(self):
-        check_real("eps1", self.eps1, 0, math.inf)
+        for name in ("eps1", "cost_constant"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, math.inf))
         try:
             r, rho = self.smoothness
         except (TypeError, ValueError):
@@ -113,8 +115,7 @@ class OracleConfig:
                 f"smoothness must be an (r, rho) pair, got {self.smoothness!r}") from None
         smooth = HolderSmoothness(r, rho)
         object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
-        check_seed(self.seed)
-        check_real("cost_constant", self.cost_constant, 0, math.inf)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -133,6 +134,19 @@ def _gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     for a in rule:
         a.setflags(write=False)
     return rule
+
+
+def horner(coeffs, s):
+    """``sum_k coeffs[k] s^k``, each row broadcast against ``s``: the one Horner order of every
+    shifted-basis polynomial, in place on one fresh array; degree 0 is ``coeffs[0] * 1.0``, exact."""
+    if len(coeffs) == 1:
+        return coeffs[0] * np.ones_like(s)
+    acc = coeffs[-1] * s
+    acc += coeffs[-2]
+    for k in range(len(coeffs) - 3, -1, -1):
+        acc *= s
+        acc += coeffs[k]
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,11 +184,12 @@ def _panel_gauss(g, panels: int, q: int) -> np.ndarray:
     return np.einsum("dpq,q->d", vals, w_ref) / panels
 
 
-#: Panels of the reference quadrature's last level.
+#: The reference quadrature's default tolerance, and its last level's panels.
+REFERENCE_TOL = 1e-12
 REFERENCE_MAX_PANELS = 4096
 
 
-def integrate_reference(g, tol: float = 1e-12) -> np.ndarray:
+def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     """High-accuracy reference integral by panel-doubling composite Gauss.
 
     A 16-point rule on 8, 16, 32, ... panels stops once two successive levels
@@ -261,11 +276,7 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     idx = np.minimum((u * panels).astype(int), panels - 1)
     xi = u * panels - idx
     coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
-    local = coeffs[:, idx, :]  # (dim, k * nsamples, q)
-    p_at_u = local[:, :, q - 1]
-    for m in range(q - 2, -1, -1):
-        p_at_u = p_at_u * xi + local[:, :, m]
-    resid = _eval(g, u) - p_at_u
+    resid = _eval(g, u) - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
     residual_means = np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)
     values = (det_part[:, None] + residual_means).T
     return _emit(values, panels * q + nsamples, k)
@@ -354,9 +365,9 @@ def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:
     level per boosted call is split evenly (in probability) over the ``n``
     steps of a solve.  Requires ``0 < delta < 1/2`` and a finite ``c > 0``.
     """
-    check_real("delta", delta, 0, 0.5)
+    delta = check_real("delta", delta, 0, 0.5)
     n = check_count("n", n)
-    check_real("c", c, 0, math.inf)
+    c = check_real("c", c, 0, math.inf)
     per_step_failure = 1.0 - (1.0 - delta) ** (1.0 / n)
     return max(1, math.ceil(c * math.log2(1.0 / per_step_failure)))
 

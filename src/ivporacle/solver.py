@@ -32,10 +32,12 @@ from .errors import (ContractViolationError, DivergenceError, DomainError, Stati
 # by name.
 from .problem import CostLedger, IVPProblem, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
+    REFERENCE_TOL,
     IntegralEstimate,
     OracleConfig,
     boost_median,
     derive_seed,
+    horner,
     integrate_deterministic,
     integrate_quantum_sim,
     integrate_randomized,
@@ -58,9 +60,8 @@ __all__ = ["MODES", "BOOSTED_MODES", "SolveConfig", "Trajectory", "solve", "eval
 #: Trajectories whose max norm exceeds this multiple of (1 + |eta|) abort.
 DIVERGENCE_FACTOR = 1e6
 
-#: A step's reference integral stops at this tolerance or at this many
+#: A step's reference integral stops at REFERENCE_TOL or at this many
 #: rounding units of the residual's values, whichever is larger.
-REFERENCE_TOL = 1e-12
 ROUNDING_ULPS = 64
 
 #: sup_error evaluates pieces this many at a time, which bounds the memory
@@ -83,10 +84,9 @@ class SolveConfig:
         object.__setattr__(self, "n", check_count("n", self.n))
         if self.mode not in MODES:
             raise ContractViolationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_real("delta", self.delta, 0, 0.5)
-        check_seed(self.seed)
-        check_real("cost_constant", self.cost_constant, 0, np.inf)
-        check_real("c", self.c, 0, np.inf)
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        for name, hi in (("delta", 0.5), ("cost_constant", np.inf), ("c", np.inf)):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, hi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,7 +132,7 @@ class _Run(NamedTuple):
         """
         self.gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (int(self.oracle.seed), i)},
+            "state": {"counter": (0, 0, 0, 0), "key": (self.oracle.seed, i)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return self.gen
@@ -256,8 +256,7 @@ def eval_trajectory(traj: Trajectory, t: float) -> np.ndarray:
         raise DomainError(f"t = {t} outside solution interval [{a}, {b}]")
     i = int(np.searchsorted(traj.breakpoints, t, side="right")) - 1
     i = min(max(i, 0), traj.n - 1)
-    piece = traj.pieces[i]
-    return piece.eval_offset(t - piece.center)
+    return traj.pieces[i](t)
 
 
 def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
@@ -288,9 +287,7 @@ def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
         part = slice(lo, lo + AUDIT_PIECES)
         ts = np.linspace(traj.breakpoints[:-1][part], traj.breakpoints[1:][part], samples_per_step, axis=1)
         s = (ts - centers[part, None])[:, :, None]
-        approx = np.broadcast_to(coeffs[part, -1:], ts.shape + (dim,))
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            approx = approx * s + coeffs[part, k:k + 1]
+        approx = horner(coeffs[part].transpose(1, 0, 2)[:, :, None], s)
         values = [reference(t) for t in ts.ravel()]
         try:
             exact = np.array(values, dtype=float)

@@ -28,7 +28,7 @@ from .errors import ContractViolationError, check_count, check_real
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
-from .quad import _gauss_rule
+from .quad import _gauss_rule, horner
 
 __all__ = [
     "VecPolynomial",
@@ -80,16 +80,7 @@ class VecPolynomial:
     def eval_offset(self, s):
         """Evaluate at offset ``s = t - center`` (scalar or 1-d array)."""
         s = np.asarray(s, dtype=float)
-        sv = s.reshape(-1)
-        c = self.coeffs
-        if len(c) == 1:
-            acc = np.repeat(c[0][:, None], sv.size, axis=1)
-        else:
-            # Horner in place on one fresh array, the same operations in the same order
-            acc = c[-1][:, None] * sv + c[-2][:, None]
-            for k in range(len(c) - 3, -1, -1):
-                acc *= sv
-                acc += c[k][:, None]
+        acc = horner(self.coeffs[:, :, None], s.reshape(-1))
         return acc[:, 0] if s.ndim == 0 else acc
 
     def __call__(self, t):

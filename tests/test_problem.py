@@ -149,6 +149,8 @@ class TestIVPProblem:
         ("dim", "1"), ("dim", True), ("dim", 1.0), ("dim", 0),
         ("interval", ("a", 1.0)), ("interval", 0.5), ("interval", (0.0, 0.5, 1.0)),
         ("smoothness", (1, 1.0)), ("smoothness", None), ("reference", 3.0),
+        ("eta", "1"), ("eta", True), ("eta", np.array(["1"])), ("eta", [None]),
+        ("interval", ("0", "1")), ("interval", (False, True)), ("interval", (0.0, "1")),
     ])
     def test_malformed_field_rejected(self, field, value):
         kwargs = dict(dim=1, interval=(0.0, 1.0), eta=np.ones(1), f=_zero, jet=_zero_jet,
@@ -160,6 +162,10 @@ class TestIVPProblem:
         p = IVPProblem(dim=np.int64(2), interval=np.array([0.0, 2.0]), eta=np.ones(2), f=_zero,
                        jet=_zero_jet, smoothness=make_smoothness(), reference=lambda t: np.ones(2))
         assert type(p.dim) is int and p.interval == (0.0, 2.0)
+        q = IVPProblem(dim=2, interval=(np.int64(0), np.float32(2.0)), eta=[np.int64(1), np.float32(0.5)],
+                       f=_zero, jet=_zero_jet, smoothness=make_smoothness())
+        assert q.eta.tolist() == [1.0, 0.5] and q.eta.dtype == float
+        assert [type(v) for v in q.interval] == [float, float] and q.interval == (0.0, 2.0)
 
     def test_eta_is_read_only(self):
         p = catalog("scalar-exponential")
@@ -396,6 +402,16 @@ class TestCatalog:
         ("logistic", dict(rho="0.5"), ContractViolationError),
         ("logistic", dict(r=1, rho=True), ContractViolationError),
         ("logistic", dict(rho=None), ContractViolationError),
+        ("logistic", dict(interval=("0", "1"), eta="0.3"), ContractViolationError),
+        ("logistic", dict(interval=("0", "1")), ContractViolationError),
+        ("logistic", dict(eta="0.3"), ContractViolationError),
+        ("integration-reduction", dict(eta=[True, "0.5"]), ContractViolationError),
+        ("integration-reduction", dict(eta=np.array([False, True])), ContractViolationError),
+        ("logistic", dict(eta=True), ContractViolationError),
+        ("logistic", dict(interval=(False, True)), ContractViolationError),
+        ("logistic", dict(eta=Fraction(1, 2)), ContractViolationError),
+        ("logistic", dict(eta=np.inf), DomainError),
+        ("logistic", dict(interval=(np.nan, 1.0)), DomainError),
     ])
     def test_bad_request_raises_typed_error(self, name, kwargs, error):
         with pytest.raises(error):

@@ -16,6 +16,7 @@ from ivporacle import (
     IntegralEstimate,
     OracleConfig,
     boost_median,
+    catalog,
     derive_seed,
     integrate_deterministic,
     integrate_quantum_sim,
@@ -24,7 +25,9 @@ from ivporacle import (
     quantum_reference,
     repetitions_for,
 )
-from ivporacle.quad import _gauss_rule, _panel_nodes, _vandermonde_inv, median_of
+from ivporacle.quad import (_budget, _eval, _gauss_rule, _panel_nodes, _panel_values, _vandermonde_inv,
+                            median_of)
+from ivporacle.taylor import ResidualIntegrand, build_l, build_w, local_derivatives
 from conftest import make_kink_integrand, reference_integral
 
 
@@ -87,8 +90,15 @@ class TestEstimateAndConfigContracts:
             OracleConfig(**kwargs)
 
     def test_numpy_numbers_accepted(self):
-        cfg = OracleConfig(eps1=np.float32(0.25), smoothness=(0, 1.0), cost_constant=np.int64(4))
-        assert cfg.eps1 == 0.25 and cfg.cost_constant == 4
+        cfg = OracleConfig(eps1=np.float32(0.25), smoothness=(0, 1.0), seed=np.uint64(7),
+                           cost_constant=np.int64(4))
+        assert cfg.eps1 == 0.25 and cfg.cost_constant == 4 and cfg.seed == 7
+        assert (type(cfg.eps1), type(cfg.cost_constant), type(cfg.seed)) == (float, float, int)
+        # Stored as a float, a float32 eps1 prices its budget in float64: 4 / eps1 is
+        # 40000.001..., not float32's 40000.0.
+        eps1 = np.float32(1e-4)
+        for value in (eps1, float(eps1)):
+            assert integrate_deterministic(lambda u: u, det_cfg(value)).queries == 40_001
 
     def test_one_config_drives_every_oracle(self, rng):
         # One accuracy contract, three oracles: each meets its own budget
@@ -203,6 +213,49 @@ class TestRandomizedOracle:
             est = integrate_randomized(lambda u: u, rand_cfg(eps1, r=r, rho=rho))
             budget = math.ceil(4.0 * eps1 ** (-1.0 / (r + rho + 0.5)))
             assert est.queries <= max(budget, r + 2)
+
+
+def _old_integrate_randomized(g, cfg, rng, k):
+    """``integrate_randomized`` as it was before its control variate went
+    through ``quad.horner``, kept as an oracle: the same bits are required."""
+    runs = 1 if k is None else k
+    q = cfg.smoothness[0] + 1
+    budget = _budget(cfg, 0.5)
+    panels = max(1, budget // (2 * q))
+    nsamples = max(1, budget - panels * q)
+    vals = _panel_values(g, panels, q)
+    det_part = np.einsum("dpq,q->d", vals, _gauss_rule(q)[1]) / panels
+    u = rng.random((runs, nsamples)).reshape(-1)
+    idx = np.minimum((u * panels).astype(int), panels - 1)
+    xi = u * panels - idx
+    coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
+    local = coeffs[:, idx, :]  # (dim, k * nsamples, q)
+    p_at_u = local[:, :, q - 1]
+    for m in range(q - 2, -1, -1):
+        p_at_u = p_at_u * xi + local[:, :, m]
+    resid = _eval(g, u) - p_at_u
+    values = (det_part[:, None] + np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)).T
+    return values[0] if k is None else values
+
+
+def _catalog_residual(name, r, h):
+    p = catalog(name, r=r)
+    w = build_w(p, p.eta)
+    return ResidualIntegrand(p, w, build_l(local_derivatives(w, r + 1), p.interval[0]), h)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("integrand", ["residual", "kink"])
+def test_control_variate_matches_old_body_bit_for_bit(integrand, k, r):
+    """Every control-variate degree, q = 1 included, single and batched."""
+    g = (_catalog_residual("integration-reduction", r, 0.3) if integrand == "residual"
+         else make_kink_integrand(np.random.default_rng(r), r, 1.0, dim=2))
+    for eps1 in (1e-1, 1e-2):
+        cfg = rand_cfg(eps1, r=r, seed=4)
+        got = integrate_randomized(g, cfg, rng=np.random.default_rng(4), k=k)
+        want = _old_integrate_randomized(g, cfg, np.random.default_rng(4), k)
+        assert got.value.shape == want.shape and got.value.tobytes() == want.tobytes()
 
 
 class TestQuantumSimOracle:
@@ -471,6 +524,9 @@ class TestRepetitionsFor:
             with pytest.raises(ContractViolationError):
                 repetitions_for(0.1, n)
         assert repetitions_for(0.1, np.int64(8)) == repetitions_for(0.1, 8)
+        # a float32 delta is computed with as a float: in float32 arithmetic this k is 69
+        delta = np.float32(0.01)
+        assert repetitions_for(delta, 100_000) == repetitions_for(float(delta), 100_000) == 70
         for c in (0.0, math.inf, math.nan, "3", None, True):
             with pytest.raises(ContractViolationError):
                 repetitions_for(0.1, 4, c=c)

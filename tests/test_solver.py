@@ -161,8 +161,10 @@ class TestSolveConfig:
             SolveConfig(**kwargs)
 
     def test_numpy_numbers_accepted(self):
-        cfg = SolveConfig(n=8, delta=np.float32(0.25), c=np.int64(3), cost_constant=np.float64(4.0))
-        assert (cfg.delta, cfg.c, cfg.cost_constant) == (0.25, 3, 4.0)
+        cfg = SolveConfig(n=8, delta=np.float32(0.25), c=np.int64(3), cost_constant=np.float64(4.0),
+                          seed=np.uint32(5))
+        assert (cfg.delta, cfg.c, cfg.cost_constant, cfg.seed) == (0.25, 3, 4.0, 5)
+        assert list(map(type, (cfg.delta, cfg.c, cfg.cost_constant, cfg.seed))) == [float, float, float, int]
 
     def test_numpy_integer_seed_accepted(self):
         # The randomized mode passes the seed on to its OracleConfig too.
