@@ -30,7 +30,9 @@ All oracles are deterministic functions of their inputs and, for the two
 randomized ones, of the generator they draw from (``default_rng(config.seed)``
 unless given).  Integrands map a float array of shape ``(m,)`` to values of
 shape ``(m,)`` or ``(dim, m)``, and must not write to their argument, which
-may be a cached, read-only node array.  Oracles charge nothing themselves: each
+may be a cached, read-only node array.  They are pointwise: the value at
+``u`` depends only on ``u``, so an oracle evaluates all its node sets in one
+call, and the values do not depend on how the nodes are grouped.  Oracles charge nothing themselves: each
 reports its price in ``IntegralEstimate.queries``, and the caller charges it.
 
 Boosting makes ``k`` independent runs of a randomized oracle on one integrand.
@@ -140,7 +142,8 @@ def horner(coeffs, s):
     """``sum_k coeffs[k] s^k``, each row broadcast against ``s``: the one Horner order of every
     shifted-basis polynomial, in place on one fresh array; degree 0 is ``coeffs[0] * 1.0``, exact."""
     if len(coeffs) == 1:
-        return coeffs[0] * np.ones_like(s)
+        shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(s))
+        return np.multiply(coeffs[0], 1.0, out=np.empty(shape))
     acc = coeffs[-1] * s
     acc += coeffs[-2]
     for k in range(len(coeffs) - 3, -1, -1):
@@ -163,25 +166,32 @@ def _vandermonde_inv(q: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _panel_nodes(panels: int, q: int) -> np.ndarray:
-    """The q Gauss nodes of each of ``panels`` equal panels of [0, 1], panel by panel; read-only."""
+def _panel_nodes(panels: int | tuple[int, ...], q: int) -> np.ndarray:
+    """The q Gauss nodes of each of ``panels`` equal panels of [0, 1], panel by panel; for a
+    tuple of panel counts, each count's nodes in turn.  Read-only."""
     nodes_ref, _ = _gauss_rule(q)
-    starts = np.arange(panels, dtype=float)
-    nodes = ((starts[:, None] + nodes_ref[None, :]) / panels).reshape(-1)
+    counts = panels if isinstance(panels, tuple) else (panels,)
+    nodes = np.concatenate([((np.arange(p, dtype=float)[:, None] + nodes_ref[None, :]) / p).reshape(-1)
+                            for p in counts])
     nodes.setflags(write=False)
     return nodes
 
 
-def _panel_values(g, panels: int, q: int) -> np.ndarray:
-    """Evaluate ``g`` on all panel Gauss nodes; shape (dim, panels, q)."""
-    vals = _eval(g, _panel_nodes(panels, q))
-    return vals.reshape(vals.shape[0], panels, q)
+def _panel_values(g, panels: tuple[int, ...], q: int, samples: Optional[np.ndarray] = None) -> list:
+    """One call of ``g`` on the panel nodes of each count in ``panels``, then at ``samples``:
+    a (dim, count, q) array per count, then the samples' (dim, m) values."""
+    nodes = _panel_nodes(panels, q)
+    vals = _eval(g, nodes if samples is None else np.concatenate((nodes, samples)))
+    parts, start = [], 0
+    for count in panels:
+        parts.append(vals[:, start:start + count * q].reshape(len(vals), count, q))
+        start += count * q
+    return parts + [vals[:, start:]]
 
 
-def _panel_gauss(g, panels: int, q: int) -> np.ndarray:
-    vals = _panel_values(g, panels, q)
-    _, w_ref = _gauss_rule(q)
-    return np.einsum("dpq,q->d", vals, w_ref) / panels
+def _gauss_sum(vals: np.ndarray) -> np.ndarray:
+    """The composite Gauss estimate of ``int_0^1`` from (dim, panels, q) panel values."""
+    return np.einsum("dpq,q->d", vals, _gauss_rule(vals.shape[2])[1]) / vals.shape[1]
 
 
 #: The reference quadrature's default tolerance, and its last level's panels.
@@ -195,18 +205,16 @@ def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     A 16-point rule on 8, 16, 32, ... panels stops once two successive levels
     agree to ``tol`` (finite, positive) in the max norm; a ``tol`` below the
     rounding error of ``g``'s values runs to ``REFERENCE_MAX_PANELS`` panels,
-    whose estimate is returned as-is.
+    whose estimate is returned as-is.  ``g`` is called once for the 8- and
+    16-panel levels together, and once for each later level.
     """
     check_real("tol", tol, 0, math.inf)
-    prev = _panel_gauss(g, 8, 16)
-    panels = 16
-    while panels <= REFERENCE_MAX_PANELS:
-        cur = _panel_gauss(g, panels, 16)
-        if np.max(np.abs(cur - prev)) <= tol:
-            return cur
-        prev = cur
+    coarse, fine, _ = _panel_values(g, (8, 16), 16)
+    prev, cur, panels = _gauss_sum(coarse), _gauss_sum(fine), 16
+    while not np.max(np.abs(cur - prev)) <= tol and panels < REFERENCE_MAX_PANELS:
         panels *= 2
-    return prev
+        prev, cur = cur, _gauss_sum(_panel_values(g, (panels,), 16)[0])
+    return cur
 
 
 #: The simulated-quantum oracle's reference is the one reference quadrature;
@@ -230,7 +238,7 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     q = r + 1
     budget = _budget(cfg, 0.0)
     panels = max(1, budget // q)
-    value = _panel_gauss(g, panels, q)
+    value = _gauss_sum(_panel_values(g, (panels,), q)[0])
     return IntegralEstimate(value=value, queries=panels * q)
 
 
@@ -258,8 +266,8 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     The samples are drawn from ``rng`` (default ``default_rng(config.seed)``).
     With ``k`` the call makes ``k`` runs from one ``(k, nsamples)`` block,
     run ``j`` taking row ``j``, and returns their ``(k, dim)`` values charged
-    at ``k`` times the per-call budget.  The interpolant is built once and
-    ``g`` is called once for the samples of all runs.
+    at ``k`` times the per-call budget.  The interpolant is built once, and
+    ``g`` is called once, on the panel nodes and the samples of all runs.
     """
     rng, runs = _runs(cfg, rng, k)
     r, _ = cfg.smoothness
@@ -268,15 +276,13 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     panels = max(1, budget // (2 * q))
     nsamples = max(1, budget - panels * q)
 
-    vals = _panel_values(g, panels, q)
-    _, w_ref = _gauss_rule(q)
-    det_part = np.einsum("dpq,q->d", vals, w_ref) / panels
-
     u = rng.random((runs, nsamples)).reshape(-1)
+    vals, at_u = _panel_values(g, (panels,), q, u)
+    det_part = _gauss_sum(vals)
     idx = np.minimum((u * panels).astype(int), panels - 1)
     xi = u * panels - idx
     coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
-    resid = _eval(g, u) - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
+    resid = at_u - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
     residual_means = np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)
     values = (det_part[:, None] + residual_means).T
     return _emit(values, panels * q + nsamples, k)

@@ -5,6 +5,7 @@ the independent composite-Gauss reference there, never from the oracles
 themselves.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,11 +13,14 @@ import numpy as np
 import pytest
 
 from ivporacle import (
+    MODES,
     ContractViolationError,
     IntegralEstimate,
     OracleConfig,
+    SolveConfig,
     boost_median,
     catalog,
+    catalog_names,
     derive_seed,
     integrate_deterministic,
     integrate_quantum_sim,
@@ -24,9 +28,11 @@ from ivporacle import (
     integrate_reference,
     quantum_reference,
     repetitions_for,
+    solve,
 )
-from ivporacle.quad import (_budget, _eval, _gauss_rule, _panel_nodes, _panel_values, _vandermonde_inv,
-                            median_of)
+from ivporacle import solver
+from ivporacle.quad import (REFERENCE_MAX_PANELS, REFERENCE_TOL, _budget, _eval, _gauss_rule, _panel_nodes,
+                            _vandermonde_inv, horner, median_of)
 from ivporacle.taylor import ResidualIntegrand, build_l, build_w, local_derivatives
 from conftest import make_kink_integrand, reference_integral
 
@@ -223,7 +229,8 @@ def _old_integrate_randomized(g, cfg, rng, k):
     budget = _budget(cfg, 0.5)
     panels = max(1, budget // (2 * q))
     nsamples = max(1, budget - panels * q)
-    vals = _panel_values(g, panels, q)
+    vals = _eval(g, _panel_nodes(panels, q))
+    vals = vals.reshape(vals.shape[0], panels, q)
     det_part = np.einsum("dpq,q->d", vals, _gauss_rule(q)[1]) / panels
     u = rng.random((runs, nsamples)).reshape(-1)
     idx = np.minimum((u * panels).astype(int), panels - 1)
@@ -256,6 +263,142 @@ def test_control_variate_matches_old_body_bit_for_bit(integrand, k, r):
         got = integrate_randomized(g, cfg, rng=np.random.default_rng(4), k=k)
         want = _old_integrate_randomized(g, cfg, np.random.default_rng(4), k)
         assert got.value.shape == want.shape and got.value.tobytes() == want.tobytes()
+
+
+class _Counting:
+    """An integrand, or a right-hand side, that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return self.fn(u)
+
+
+def _old_level(g, panels):
+    """One level of the reference quadrature, from its own call of ``g``."""
+    vals = _eval(g, _panel_nodes(panels, 16))
+    vals = vals.reshape(vals.shape[0], panels, 16)
+    return np.einsum("dpq,q->d", vals, _gauss_rule(16)[1]) / panels
+
+
+def _old_integrate_reference(g, tol=REFERENCE_TOL):
+    """``integrate_reference`` as it was before its 8- and 16-panel levels
+    shared one call of ``g``, kept as an oracle: the same bits are required."""
+    prev = _old_level(g, 8)
+    panels = 16
+    while panels <= REFERENCE_MAX_PANELS:
+        cur = _old_level(g, panels)
+        if np.max(np.abs(cur - prev)) <= tol:
+            return cur
+        prev = cur
+        panels *= 2
+    return prev
+
+
+def _old_randomized_estimate(g, cfg, rng=None, k=None):
+    """``_old_integrate_randomized`` behind ``integrate_randomized``'s signature and price."""
+    price = integrate_randomized(np.zeros_like, cfg, rng=np.random.default_rng(), k=k).queries
+    return IntegralEstimate(value=_old_integrate_randomized(g, cfg, rng, k), queries=price)
+
+
+_REFERENCE_INTEGRANDS = [(name, r) for name in catalog_names() for r in range(4)] + [("kink", 1)]
+
+
+def _reference_integrand(name, r):
+    if name == "kink":
+        return make_kink_integrand(np.random.default_rng(9), r, 0.5, dim=2)
+    return _catalog_residual(name, r, 0.3)
+
+
+@pytest.mark.parametrize("name,r", _REFERENCE_INTEGRANDS)
+def test_reference_matches_old_body_and_calls_once_per_new_level(name, r):
+    """The merged first call returns the old bits at a stop at 16 panels, at
+    a later level and at ``REFERENCE_MAX_PANELS``; it calls ``g`` once for
+    the first two levels and once per later level."""
+    g = _reference_integrand(name, r)
+    levels = [_old_level(g, 8 * 2 ** j) for j in range(10)]  # 8, 16, ..., 4096 panels
+    gaps = [np.max(np.abs(b - a)) for a, b in zip(levels, levels[1:])]
+    # Stop at 16 panels, at the first later level that agrees more closely,
+    # and (unless two levels agree exactly) never.
+    later = [gap for gap in gaps[1:] if gap < gaps[0]]
+    tols = [gaps[0]] + later[:1] + ([min(gaps) / 2] if min(gaps) > 0 else [])
+    for tol in (max(tol, 1e-300) for tol in tols):
+        stop = next((j for j, gap in enumerate(gaps) if gap <= tol), None)
+        counted, old = _Counting(g), _Counting(g)
+        got = integrate_reference(counted, tol=tol)
+        want = _old_integrate_reference(old, tol=tol)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == levels[9 if stop is None else stop + 1].tobytes()
+        assert counted.calls == (9 if stop is None else 1 + stop) == old.calls - 1
+
+
+def test_reference_call_counts():
+    """Each stop the stop rule can make: 16 panels, ``j`` levels later, never."""
+    smooth = _Counting(np.exp)
+    integrate_reference(smooth)
+    assert smooth.calls == 1
+    # Its successive levels differ by 1.9e-4, 1.1e-4, 9.2e-6, 7.2e-6, 5.2e-6,
+    # 1.4e-6, 1.7e-7, 1.2e-7 and 8.1e-8.
+    kink = make_kink_integrand(np.random.default_rng(9), 0, 0.5, dim=2)
+    stops = []
+    for tol in (1e-3, 1e-5, 1e-6, 1e-8):
+        counted = _Counting(kink)
+        integrate_reference(counted, tol=tol)
+        stops.append(counted.calls)
+    assert stops == [1, 3, 7, 9]
+
+
+def test_oracles_call_the_integrand_once():
+    g = make_kink_integrand(np.random.default_rng(3), 1, 1.0, dim=2)
+    for r in range(4):
+        counted = _Counting(g)
+        integrate_deterministic(counted, det_cfg(1e-2, r=r))
+        assert counted.calls == 1
+        for k in (None, 3):
+            counted = _Counting(g)
+            integrate_randomized(counted, rand_cfg(1e-2, r=r), k=k)
+            assert counted.calls == 1
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("mode", MODES)
+def test_solve_calls_f_once_per_step(monkeypatch, mode, name, r):
+    """Every mode calls ``f`` once per step, and the old two-call oracles
+    give the same endpoints and the same ledger."""
+    n = 8
+    problem = catalog(name, r=r)
+    counted = _Counting(problem.f)
+    traj = solve(dataclasses.replace(problem, f=counted), SolveConfig(n=n, mode=mode, seed=2))
+    assert counted.calls == n
+    monkeypatch.setattr(solver, "integrate_reference", _old_integrate_reference)
+    monkeypatch.setattr(solver, "quantum_reference", _old_integrate_reference)
+    monkeypatch.setattr(solver, "integrate_randomized", _old_randomized_estimate)
+    counted = _Counting(problem.f)
+    old = solve(dataclasses.replace(problem, f=counted), SolveConfig(n=n, mode=mode, seed=2))
+    assert counted.calls == (n if mode == "det_values" else 2 * n)
+    assert traj.endpoints.tobytes() == old.endpoints.tobytes()
+    assert dataclasses.astuple(traj.ledger) == dataclasses.astuple(old.ledger)
+
+
+@pytest.mark.parametrize("shape,s", [
+    ((1,), np.linspace(0.0, 1.0, 5)),
+    ((2, 1), np.linspace(-1.0, 1.0, 7)),
+    ((3, 1), np.zeros((0,))),
+    ((2, 4, 1), np.full(3, 0.5)),
+    ((2, 1, 3), np.zeros((2, 4, 3))),
+])
+def test_horner_degree_zero_matches_ones_product(shape, s):
+    """Degree 0 is ``c[0] * np.ones_like(s)`` in bits: -0.0 and NaNs of
+    either sign and any payload included."""
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, 1.5, -2.0, np.inf])
+    specials = np.concatenate([specials, np.frombuffer(np.uint64(0xFFF8_0000_0000_1234).tobytes(), float)])
+    c = np.resize(specials, shape)[None]
+    want = c[0] * np.ones_like(s)
+    got = horner(c, s)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestQuantumSimOracle:
