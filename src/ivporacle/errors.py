@@ -67,3 +67,11 @@ def check_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise ContractViolationError(f"seed must be a non-negative 64-bit integer, got {seed!r}")
     return int(seed)
+
+
+def step_power(h: float, p: float) -> float:
+    """``h ** p`` for a float step size ``h``; :class:`DomainError` if it overflows."""
+    try:
+        return h ** p
+    except OverflowError:
+        raise DomainError(f"step size h = {h!r} is unusable: h ** {p} overflows") from None

@@ -70,7 +70,7 @@ __all__ = [
     "derive_seed",
 ]
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class IntegralEstimate:
     """One oracle output: the estimate and its price.
 
@@ -81,16 +81,14 @@ class IntegralEstimate:
     value: np.ndarray
     queries: int
 
-    def __post_init__(self):
-        v = np.asarray(self.value, dtype=float)
-        if v.ndim == 0:
-            v = v.reshape(1)
+    def __init__(self, value, queries):  # checked, then set in one write, as HolderSmoothness is
+        v = np.asarray(value, dtype=float)
+        v = v.reshape(1) if v.ndim == 0 else v
         v.setflags(write=False)
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "queries", check_count("queries", self.queries, 0))
+        self.__dict__.update(value=v, queries=check_count("queries", queries, 0))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class OracleConfig:
     """The accuracy contract of an oracle call, the same for every oracle.
 
@@ -104,20 +102,19 @@ class OracleConfig:
 
     eps1: float
     smoothness: tuple[int, float]
-    seed: int = 0
-    cost_constant: float = 4.0
+    seed: int
+    cost_constant: float
 
-    def __post_init__(self):
-        for name in ("eps1", "cost_constant"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, math.inf))
+    def __init__(self, eps1, smoothness, seed=0, cost_constant=4.0):  # as HolderSmoothness is
         try:
-            r, rho = self.smoothness
+            r, rho = smoothness
         except (TypeError, ValueError):
             raise ContractViolationError(
-                f"smoothness must be an (r, rho) pair, got {self.smoothness!r}") from None
+                f"smoothness must be an (r, rho) pair, got {smoothness!r}") from None
         smooth = HolderSmoothness(r, rho)
-        object.__setattr__(self, "smoothness", (smooth.r, smooth.rho))
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        self.__dict__.update(eps1=check_real("eps1", eps1, 0, math.inf), smoothness=(smooth.r, smooth.rho),
+                             seed=check_seed(seed),
+                             cost_constant=check_real("cost_constant", cost_constant, 0, math.inf))
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
@@ -211,7 +208,7 @@ def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     check_real("tol", tol, 0, math.inf)
     coarse, fine, _ = _panel_values(g, (8, 16), 16)
     prev, cur, panels = _gauss_sum(coarse), _gauss_sum(fine), 16
-    while not np.max(np.abs(cur - prev)) <= tol and panels < REFERENCE_MAX_PANELS:
+    while not np.maximum.reduce(np.abs(cur - prev)) <= tol and panels < REFERENCE_MAX_PANELS:
         panels *= 2
         prev, cur = cur, _gauss_sum(_panel_values(g, (panels,), 16)[0])
     return cur

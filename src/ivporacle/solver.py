@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
-                     check_count, check_real, check_seed)
+                     check_count, check_real, check_seed, step_power)
 # eval_rhs, boost_median and derive_seed are unused here; they stay module
 # attributes because the benchmark's tracer (perfbench/spans.py) patches them
 # by name.
@@ -141,12 +141,12 @@ class _Run(NamedTuple):
 def reference_tol(scale: float, f_y: np.ndarray) -> float:
     """Stop rule of the reference integral of ``scale * (f(l) - w(l))``.
 
-    Its values round at about ``eps * scale * max|f(y_i)|`` (``f_y = f(y_i)``,
-    already fetched), and no two panel levels agree more closely; stopping at
-    ``ROUNDING_ULPS`` such units moves ``y_{i+1}`` by about as many ulps of
-    the step's increment ``h f(y_i)``.
+    Its values round at about ``eps * scale * max|f(y_i)|`` (``eps = 2**-52``,
+    ``f_y = f(y_i)`` already fetched), and no two panel levels agree more
+    closely; stopping at ``ROUNDING_ULPS`` such units moves ``y_{i+1}`` by
+    about as many ulps of the step's increment ``h f(y_i)``.
     """
-    return max(REFERENCE_TOL, ROUNDING_ULPS * np.finfo(float).eps * scale * float(np.max(np.abs(f_y))))
+    return max(REFERENCE_TOL, ROUNDING_ULPS * 2.0 ** -52 * scale * float(np.maximum.reduce(np.abs(f_y))))
 
 
 def _det_exact(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
@@ -203,13 +203,14 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     ``1e6 (1 + |eta|)``, and :class:`StationaryStartError` if ``f(eta) = 0``
     (the standing assumption, read off the first step's Taylor data ``w_0``,
     so the check costs no evaluation).  Both carry the ledger charged so far.
+    An ``h`` whose ``h^(r+rho+1)`` overflows raises :class:`DomainError` first.
     """
     a, b = problem.interval
     n = cfg.n
     h = (b - a) / n
     r = problem.smoothness.r
     rho = problem.smoothness.rho
-    scale = h ** (r + rho + 1.0)
+    scale = step_power(h, r + rho + 1.0)  # before any step: an unusable h charges nothing
     ledger = CostLedger()
     mode = _MODES[cfg.mode]
     oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed,
@@ -233,7 +234,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i
-        norm = np.max(np.abs(y))
+        norm = np.maximum.reduce(np.abs(y))
         if not norm <= bound:  # a NaN or infinite state fails it too
             raise DivergenceError(step=i, norm=float(norm), ledger=ledger)
         pieces.append(l_i)

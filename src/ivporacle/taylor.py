@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, check_count, check_real
+from .errors import ContractViolationError, check_count, check_real, step_power
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
@@ -64,8 +64,9 @@ class VecPolynomial:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 2 or 0 in c.shape:
             raise ContractViolationError(f"coeffs must be a (degree+1, dim) array, got shape {c.shape}")
-        c = c.copy()
-        c.setflags(write=False)
+        if c.flags.writeable or c.base is not None:  # a read-only array owning its data (build_l's) is kept
+            c = c.copy()
+            c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "center", float(self.center))
 
@@ -128,11 +129,13 @@ def build_l(derivs: Sequence[np.ndarray], x_i: float) -> VecPolynomial:
     ``derivs`` lists ``z(x_i), z'(x_i), ..., z^(q)(x_i)``; the result has
     degree ``q`` and coefficients ``derivs[k] / k!`` in the shifted basis.
     """
-    coeffs = np.array(derivs, dtype=float)
+    coeffs = np.array(derivs, dtype=float)  # a fresh array: divided in place, then frozen
     if coeffs.ndim == 1:  # scalar derivatives: dim 1
         coeffs = coeffs[:, None]
     # row k over k!, whatever the shape, so a bad one (or none) meets VecPolynomial's check
-    return VecPolynomial(center=float(x_i), coeffs=(coeffs.T / _factorials(len(coeffs))).T)
+    np.divide(coeffs.T, _factorials(len(coeffs)), out=coeffs.T)
+    coeffs.setflags(write=False)  # so VecPolynomial keeps it without a copy
+    return VecPolynomial(center=float(x_i), coeffs=coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,22 +168,22 @@ class TaylorMap:
         y = np.asarray(y, dtype=float)
         if y.ndim not in (1, 2) or y.shape[0] != self.dim:
             raise ContractViolationError(f"point must be ({self.dim},) or ({self.dim}, m), got {y.shape}")
-        scalar = y.ndim == 1
-        pts = y[:, None] if scalar else y
+        return self._batch(y[:, None])[:, 0] if y.ndim == 1 else self._batch(y)
+
+    def _batch(self, pts: np.ndarray) -> np.ndarray:
+        """The unchecked kernel: ``w`` at a float batch ``(dim, m)``, as a fresh array."""
         t = self.tensors
-        order = len(t) - 1
-        if order == 0:
-            acc = np.repeat(t[0][:, None], pts.shape[1], axis=1)
-        else:
-            # T0 + T1 dy + ..., summed left to right in place (T0 + E equals E + T0 bit for bit)
-            dy = pts - self.center[:, None]
-            acc = np.einsum("ci,im->cm", t[1], dy)
-            acc += t[0][:, None]
-            if order >= 2:
-                acc += np.einsum("cij,im,jm->cm", t[2], dy, dy)
-            if order >= 3:
-                acc += np.einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
-        return acc[:, 0] if scalar else acc
+        if len(t) == 1:
+            return np.repeat(t[0][:, None], pts.shape[1], axis=1)
+        # T0 + T1 dy + ..., summed left to right in place (T0 + E equals E + T0 bit for bit)
+        dy = pts - self.center[:, None]
+        acc = np.einsum("ci,im->cm", t[1], dy)
+        acc += t[0][:, None]
+        if len(t) > 2:
+            acc += np.einsum("cij,im,jm->cm", t[2], dy, dy)
+        if len(t) > 3:
+            acc += np.einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
+        return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +224,7 @@ def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
     """
     check_real("h", h, 0, math.inf)
     nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
-    return h * (w(l.eval_offset(nodes * h)) @ weights)
+    return h * (w._batch(horner(l.coeffs[:, :, None], nodes * h)) @ weights)
 
 
 @dataclasses.dataclass
@@ -241,15 +244,16 @@ class ResidualIntegrand:
 
     def __post_init__(self):
         self.h = check_real("h", self.h, 0, math.inf)
-        self.scale = self.h ** (-self.problem.smoothness.order)
+        self.scale = step_power(self.h, -self.problem.smoothness.order)
 
     @property
     def dim(self) -> int:
         return self.problem.dim
 
     def __call__(self, u):
-        pts = self.l.eval_offset(np.asarray(u, dtype=float) * self.h)
+        s = np.asarray(u, dtype=float) * self.h
+        pts = horner(self.l.coeffs[:, :, None], s.reshape(-1))  # the piece at x_i + u h, unchecked
         gap = eval_rhs(self.problem, pts)  # a fresh array, reused for the result
-        gap -= self.w(pts)
+        gap -= self.w._batch(pts)
         gap *= self.scale
-        return gap
+        return gap if s.ndim else gap[:, 0]

@@ -270,6 +270,20 @@ class TestMain:
         assert solves == [] and out.out == ""
         assert "error: seed must be a non-negative 64-bit integer, got -1" in out.err
 
+    @pytest.mark.parametrize("text", [
+        "[experiment]\nproblems = logistic\nr = 1\nn = 8\n[problem]\ninterval = 0.0, 1e-160\n",
+        "[experiment]\nr = 3\nn = 1\n[problem]\ninterval = 0.0, 1e100\n",
+    ], ids=["residual-scale", "step-power"])
+    def test_unusable_step_size_exits_2(self, text, tmp_path, capsys):
+        """A step size whose power overflows is a DomainError: ``error:``,
+        exit code 2 and no CSV, not an OverflowError's traceback."""
+        cfg_file, out = tmp_path / "sweep.ini", tmp_path / "sweep.csv"
+        cfg_file.write_text(text)
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: step size h = ") and "overflows" in captured.err
+
     def test_stationary_start_does_not_abort(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.ini"
         cfg_file.write_text("[experiment]\nproblems = logistic\nn = 8, 16\n[problem]\neta = 1\n")

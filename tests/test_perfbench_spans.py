@@ -27,3 +27,37 @@ spans = load_spans()
 def test_patch_target_resolves(owner, attr, name):
     # the tracer saves ``owner.__dict__[attr]`` before patching it
     assert attr in vars(spans._owner(owner)), f"{name}: ivporacle.{owner}.{attr} is gone"
+
+
+# The layers each mode's step calls through the tracer's patch targets.
+_STEP_TARGETS = {("solver", "build_w"), ("solver", "local_derivatives"), ("solver", "build_l"),
+                 ("solver", "integrate_w_of_l"), ("taylor.ResidualIntegrand", "__call__"),
+                 ("taylor", "eval_rhs")}
+_MODE_TARGETS = {
+    "det_exact": {("solver", "integrate_reference")},
+    "det_values": {("solver", "integrate_deterministic")},
+    "randomized": {("solver", "integrate_randomized")},
+    "quantum_sim": {("solver", "quantum_reference"), ("solver", "integrate_quantum_sim")},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_TARGETS))
+def test_each_step_passes_through_every_traced_layer(monkeypatch, mode):
+    """Each of ``solve``'s n steps calls each step layer and the mode's
+    oracles once, through the attributes the tracer patches, and no other
+    patched layer: a step that bypassed one would leave its metrics at 0."""
+    from ivporacle import SolveConfig, catalog, solver
+
+    calls = {(owner, attr): 0 for owner, attr, _ in spans.FULL}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner_path, attr, _ in spans.FULL:
+        owner = spans._owner(owner_path)
+        monkeypatch.setattr(owner, attr, counted((owner_path, attr), vars(owner)[attr]))
+    solver.solve(catalog("logistic", r=1), SolveConfig(n=8, mode=mode))
+    assert calls == {key: 8 if key in _STEP_TARGETS | _MODE_TARGETS[mode] else 0 for key in calls}

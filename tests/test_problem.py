@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from ivporacle import (
     eval_partial,
     eval_rhs,
 )
-from ivporacle.problem import _G_REGISTRY
+from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS
 from conftest import per_partial_jet, per_partial_oracle
 
 
@@ -68,6 +69,39 @@ def test_batched_oracle_keeps_the_batch_shape_for_every_alpha(name):
         for j in range(5):
             for t in p.jet(y[:, j], 3):
                 assert not np.any(np.signbit(t) & (t == 0.0))
+
+
+def _full_jet(name):
+    """A scalar row's jet as it was built before, one ``np.full`` per tensor
+    from the row's derivatives at the ``np.float64`` state; kept as an oracle."""
+    derivs = _SCALAR_ROWS[name][0]
+
+    def jet(y, r):
+        z = y[0]
+        return tuple(np.full((1,) * (j + 1), derivs[j](z) / math.factorial(j)) for j in range(r + 1))
+
+    return jet
+
+
+@pytest.mark.parametrize("name", tuple(_SCALAR_ROWS))
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_scalar_jets_match_the_full_body_bit_for_bit(name, r):
+    """Values, dtype and shapes of every scalar jet tensor, at the catalog's
+    states, signed zeros and random states; a derivative that is zero
+    everywhere reads +0.0, never -0.0."""
+    p = catalog(name, r=r)
+    old = _full_jet(name)
+    a, b = p.interval
+    zs = [float(p.reference(a + frac * (b - a))[0]) for frac in (0.0, 0.4, 1.0)]
+    zs += [0.0, -0.0, -1.3, 2.9, 1e-300, -1e150] + list(np.random.default_rng(r).uniform(-5.0, 5.0, 20))
+    for z in zs:
+        y = np.array([z])
+        got, want = p.jet(y, r), old(y, r)
+        assert type(got) is tuple and len(got) == r + 1
+        for j, (t, u) in enumerate(zip(got, want)):
+            assert (t.shape, t.dtype, t.tobytes()) == ((1,) * (j + 1), np.dtype(float), u.tobytes())
+        constant_zero = [j for j in range(1, r + 1) if _SCALAR_ROWS[name][0][j](-1.0) == 0.0]
+        assert all(not np.signbit(got[j]).any() for j in constant_zero)
 
 
 def test_eval_partial_reads_the_jet():

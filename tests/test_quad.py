@@ -350,6 +350,25 @@ def test_reference_call_counts():
     assert stops == [1, 3, 7, 9]
 
 
+def test_nan_gap_keeps_the_reference_going():
+    """A NaN gap between levels never passes the stop rule: an integrand that
+    is NaN in one component runs to ``REFERENCE_MAX_PANELS`` as the old body
+    does, and returns its last level's bits."""
+    kink = make_kink_integrand(np.random.default_rng(9), 1, 1.0, dim=2)
+
+    def half_nan(u):
+        vals = kink(u)
+        vals[1] = np.nan
+        return vals
+
+    for tol in (1e-3, 1.0, 1e300):
+        counted, old = _Counting(half_nan), _Counting(half_nan)
+        got = integrate_reference(counted, tol=tol)
+        assert counted.calls == 9 and old.calls == 0
+        assert got.tobytes() == _old_integrate_reference(old, tol=tol).tobytes()
+        assert np.isfinite(got[0]) and np.isnan(got[1])
+
+
 def test_oracles_call_the_integrand_once():
     g = make_kink_integrand(np.random.default_rng(3), 1, 1.0, dim=2)
     for r in range(4):

@@ -233,6 +233,42 @@ class TestSolveBasics:
             solve(p, SolveConfig(n=64))
         assert 0 <= info.value.step < 64
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nan_state_diverges(self, mode):
+        """A residual that is NaN makes the state NaN, which the max-norm
+        check refuses as np.max's NaN rule does, at step 0 with its ledger."""
+        p = catalog("logistic", r=1)
+        nan_f = dataclasses.replace(p, f=lambda y: np.full(y.shape, np.nan))
+        with pytest.raises(DivergenceError) as info:
+            solve(nan_f, SolveConfig(n=4, mode=mode))
+        assert info.value.step == 0 and math.isnan(info.value.norm)
+        assert info.value.ledger.classical_evals >= 1
+
+
+class TestUnusableStep:
+    """A step size whose power overflows a float is a DomainError, not a bare OverflowError."""
+
+    def test_solve_refuses_it_before_any_step(self, monkeypatch):
+        p = catalog("scalar-exponential", r=3, interval=(0.0, 1e100))
+        fetched = []
+        monkeypatch.setattr(solver, "build_w", lambda *args: fetched.append(args))
+        for mode in MODES:
+            with pytest.raises(DomainError, match="h = 1e\\+100"):
+                solve(p, SolveConfig(n=1, mode=mode))
+        assert fetched == []
+
+    def test_residual_scale_overflow(self):
+        p = catalog("logistic", r=1, interval=(0.0, 1e-160))
+        with pytest.raises(DomainError):
+            solve(p, SolveConfig(n=1))
+        w = build_w(p, p.eta)
+        l = build_l(local_derivatives(w, 2), 0.0)
+        with pytest.raises(DomainError, match="overflows"):
+            ResidualIntegrand(p, w, l, 1e-160)
+        # an h whose powers stay finite still steps, a subnormal h^(r+rho+1) included
+        assert ResidualIntegrand(p, w, l, 1e-150).scale == 1e-150 ** -2.0
+        assert solve(catalog("scalar-exponential", r=0, interval=(0.0, 1e-160)), SolveConfig(n=1)).n == 1
+
 
 class TestEvalTrajectory:
     def test_grid_points_exact(self):
@@ -633,3 +669,22 @@ def test_reference_stop_keeps_endpoints_to_rounding(monkeypatch, name, mode):
     bound = cfg.n * np.finfo(float).eps * (solver.ROUNDING_ULPS * h * f_max + y_max)
     assert np.max(np.abs(fast.endpoints - full.endpoints)) <= bound
     assert fast.ledger == full.ledger
+
+
+def test_max_norms_keep_np_max_bits():
+    """The step's max-norms, ``np.maximum.reduce(np.abs(x))``, give the
+    bits of ``np.max(np.abs(x))``, NaNs included, and ``reference_tol``
+    those of its old body."""
+    payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+    specials = [np.nan, -np.nan, payload, np.inf, -np.inf, 0.0, -0.0, 1e-310, -2.5, 7.0]
+    rng = np.random.default_rng(5)
+    vectors = [np.array([s]) for s in specials]
+    vectors += [rng.choice(specials, size=k) for k in (2, 3, 5) for _ in range(30)]
+    for x in vectors:
+        norm = np.maximum.reduce(np.abs(x))
+        assert np.asarray(norm).tobytes() == np.asarray(np.max(np.abs(x))).tobytes()
+        for scale in (1.0, 3.7e12, 0.0):
+            with np.errstate(invalid="ignore"):  # the old np.float64 product warned at 0 * inf
+                old = max(solver.REFERENCE_TOL,
+                          solver.ROUNDING_ULPS * np.finfo(float).eps * scale * float(np.max(np.abs(x))))
+            assert np.float64(reference_tol(scale, x)).tobytes() == np.float64(old).tobytes()

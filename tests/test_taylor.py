@@ -27,6 +27,8 @@ from ivporacle import (
     local_derivatives,
 )
 from ivporacle.problem import _G_REGISTRY
+from ivporacle.quad import _gauss_rule
+from ivporacle.taylor import _factorials
 from conftest import per_partial_jet, per_partial_oracle, reference_integral
 
 
@@ -464,6 +466,136 @@ def test_lean_evaluators_on_random_data_bit_for_bit(order, dim):
                                                    for j in range(order + 1)))
         for y in (center, _signed_zeros(rng, dim), _signed_zeros(rng, (dim, 4)), center[:, None] + 0.0):
             assert _bits(w(y)) == _bits(_old_map_call(w, y))
+
+
+# The step bodies as they were before the map's unchecked kernel was split
+# out and build_l froze its own array, kept as oracles: the kernel, the step
+# integral, the residual and build_l must give their bits.
+
+def _checked_map_call(w, y):
+    y = np.asarray(y, dtype=float)
+    scalar = y.ndim == 1
+    pts = y[:, None] if scalar else y
+    t = w.tensors
+    order = len(t) - 1
+    if order == 0:
+        acc = np.repeat(t[0][:, None], pts.shape[1], axis=1)
+    else:
+        dy = pts - w.center[:, None]
+        acc = np.einsum("ci,im->cm", t[1], dy)
+        acc += t[0][:, None]
+        if order >= 2:
+            acc += np.einsum("cij,im,jm->cm", t[2], dy, dy)
+        if order >= 3:
+            acc += np.einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
+    return acc[:, 0] if scalar else acc
+
+
+def _checked_integrate_w_of_l(w, l, h):
+    nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
+    return h * (_checked_map_call(w, l.eval_offset(nodes * h)) @ weights)
+
+
+def _checked_residual_call(g, u):
+    pts = g.l.eval_offset(np.asarray(u, dtype=float) * g.h)
+    gap = eval_rhs(g.problem, pts)
+    gap -= _checked_map_call(g.w, pts)
+    gap *= g.scale
+    return gap
+
+
+def _copying_build_l(derivs, x_i):
+    coeffs = np.array(derivs, dtype=float)
+    if coeffs.ndim == 1:
+        coeffs = coeffs[:, None]
+    return VecPolynomial(center=float(x_i), coeffs=(coeffs.T / _factorials(len(coeffs))).T)
+
+
+def _assert_fresh_frozen_piece(l, derivs):
+    """``l.coeffs`` is read-only, owns its data and shares no memory with ``derivs``."""
+    assert not l.coeffs.flags.writeable and l.coeffs.base is None
+    assert not any(np.shares_memory(l.coeffs, d) for d in derivs if isinstance(d, np.ndarray))
+    with pytest.raises(ValueError):
+        l.coeffs[0, 0] = 1.0
+
+
+def _step_kernels_agree(p, w, l, derivs, x_i):
+    """Every slimmed step body against its oracle, on one state."""
+    l_old = _copying_build_l(derivs, x_i)
+    assert _bits(l.coeffs) == _bits(l_old.coeffs) and l.center == l_old.center
+    _assert_fresh_frozen_piece(l, derivs)
+    y = w.center
+    for pts in (y[:, None], y[:, None] + np.linspace(-0.25, 0.25, 7), np.stack([y, -y, 0.0 * y], axis=1)):
+        assert _bits(w._batch(pts)) == _bits(_checked_map_call(w, pts))
+    for pt in (y, y + 0.125):
+        assert _bits(w(pt)) == _bits(_checked_map_call(w, pt))
+    for h in (0.3, 1.0 / 48, 1.0 / 1024):  # not all powers of two, so scaling rounds
+        assert _bits(integrate_w_of_l(w, l, h)) == _bits(_checked_integrate_w_of_l(w, l, h))
+        if p is not None:
+            g = ResidualIntegrand(p, w, l, h)
+            for u in (0.0, -0.0, 0.75, np.linspace(0.0, 1.0, 9), np.array([[0.5, 0.25]])):
+                assert _bits(g(u)) == _bits(_checked_residual_call(g, u))
+
+
+@pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_step_kernels_match_checked_bodies_bit_for_bit(name, r):
+    """The map's kernel, ``integrate_w_of_l``, the residual and ``build_l``
+    on every catalog step, against the bodies that went through the checked
+    calls; ``build_l``'s piece is frozen and its own."""
+    p = catalog(name, r=r)
+    a, b = p.interval
+    states = [np.asarray(p.reference(a + frac * (b - a))) for frac in (0.0, 0.4, 1.0)]
+    states += [np.full(p.dim, c) for c in (-1.3, 0.0, -0.0, 2.9)]
+    for y in states:
+        w = build_w(p, y)
+        derivs = local_derivatives(w, r + 1)
+        _step_kernels_agree(p, w, build_l(derivs, a), derivs, a)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_step_kernels_on_random_data_bit_for_bit(order, dim):
+    """Random maps and pieces with signed zeros in every input, including
+    pieces of degree below and above ``order + 1``."""
+    rng = np.random.default_rng(1000 + 10 * order + dim)
+    for degree in (0, order + 1, 4):
+        for _ in range(3):
+            w = TaylorMap(center=_signed_zeros(rng, dim),
+                          tensors=tuple(_signed_zeros(rng, (dim,) * (j + 1)) for j in range(order + 1)))
+            derivs = [_signed_zeros(rng, dim) for _ in range(degree + 1)]
+            x_i = float(rng.uniform(-2.0, 2.0))
+            _step_kernels_agree(None, w, build_l(derivs, x_i), derivs, x_i)
+
+
+def test_build_l_freezes_a_fresh_array_of_its_own():
+    """Read-only inputs, a float32 list and a 2-d array input: each gives a
+    frozen piece that aliases none of them and keeps the oracle's bits."""
+    base = np.array([[0.5, -0.0], [1.5, 2.0], [-3.0, 6.0]])
+    before = base.tobytes()
+    inputs = [list(base), base, _frozen(base), [_frozen(row) for row in base],
+              [row.astype(np.float32) for row in base]]
+    for derivs in inputs:
+        l = build_l(derivs, 0.25)
+        assert _bits(l.coeffs) == _bits(_copying_build_l(derivs, 0.25).coeffs)
+        _assert_fresh_frozen_piece(l, derivs if isinstance(derivs, list) else [derivs])
+    assert base.flags.writeable and base.tobytes() == before
+
+
+def test_piece_keeps_only_a_frozen_array_that_owns_its_data():
+    """A writable array or a read-only view is copied; a read-only array that
+    owns its data, as ``build_l`` makes, is kept without a copy."""
+    owned = _frozen([[1.0], [2.0]])
+    assert VecPolynomial(center=0.0, coeffs=owned).coeffs is owned
+    writable = np.array([[1.0], [2.0]])
+    view = writable[:, :]
+    view.setflags(write=False)
+    for c in (writable, view, [[1.0], [2.0]]):
+        kept = VecPolynomial(center=0.0, coeffs=c).coeffs
+        assert kept is not c and not kept.flags.writeable and not np.shares_memory(kept, writable)
+        writable[0, 0] = 5.0  # the caller's later write does not reach the piece
+        assert kept[0, 0] == 1.0
+        writable[0, 0] = 1.0
 
 
 def test_build_l_accepts_scalar_derivatives():
