@@ -169,36 +169,40 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run every sweep cell; divergence and a stationary start become flagged
-    rows with the ledger charged before the failure, not a crash."""
+    rows with the ledger charged before the failure, not a crash.  Only the
+    boosted modes read the seed, so a cell of another mode is solved once and
+    its row repeated for each later seed, ``wall_time`` included."""
     problems = _problems(config)
     rows = []
-    for problem_name, mode, r, rho, n, seed in product(
-            config.problems, config.modes, config.r_values, config.rho_values,
-            config.n_values, config.seeds):
+    for problem_name, mode, r, rho, n in product(
+            config.problems, config.modes, config.r_values, config.rho_values, config.n_values):
         problem = problems[problem_name, r, rho]
         a, b = problem.interval
-        h = (b - a) / n
-        scfg = SolveConfig(n=n, mode=mode, delta=config.delta, seed=seed,
-                           cost_constant=config.cost_constant, c=config.c)
-        start = time.perf_counter()
-        err_flag = ""
-        err_value = math.nan
-        try:
-            traj = solve(problem, scfg)
-            ledger = traj.ledger
-            err_value = sup_error(traj, problem.reference, config.samples_per_step)
-        except (DivergenceError, StationaryStartError) as exc:
-            err_flag = (f"divergence:step={exc.step}" if isinstance(exc, DivergenceError)
-                        else "stationary-start")
-            ledger = exc.ledger
-        wall = time.perf_counter() - start if config.timing else 0.0
-        rows.append(SweepRow(
-            problem=problem_name, mode=mode, r=r, rho=rho, n=n, h=h, seed=seed,
-            sup_error=err_value,
-            classical_evals=ledger.classical_evals, oracle_queries=ledger.oracle_queries,
-            repetitions=ledger.repetitions,
-            wall_time=wall, error=err_flag,
-        ))
+        for j, seed in enumerate(config.seeds):
+            if j and mode not in BOOSTED_MODES:
+                rows.append(dataclasses.replace(rows[-1], seed=seed))
+                continue
+            scfg = SolveConfig(n=n, mode=mode, delta=config.delta, seed=seed,
+                               cost_constant=config.cost_constant, c=config.c)
+            start = time.perf_counter()
+            err_flag = ""
+            err_value = math.nan
+            try:
+                traj = solve(problem, scfg)
+                ledger = traj.ledger
+                err_value = sup_error(traj, problem.reference, config.samples_per_step)
+            except (DivergenceError, StationaryStartError) as exc:
+                err_flag = (f"divergence:step={exc.step}" if isinstance(exc, DivergenceError)
+                            else "stationary-start")
+                ledger = exc.ledger
+            wall = time.perf_counter() - start if config.timing else 0.0
+            rows.append(SweepRow(
+                problem=problem_name, mode=mode, r=r, rho=rho, n=n, h=(b - a) / n, seed=seed,
+                sup_error=err_value,
+                classical_evals=ledger.classical_evals, oracle_queries=ledger.oracle_queries,
+                repetitions=ledger.repetitions,
+                wall_time=wall, error=err_flag,
+            ))
     return rows
 
 

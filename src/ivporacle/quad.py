@@ -70,6 +70,15 @@ __all__ = [
     "derive_seed",
 ]
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only and owns its data, else a read-only copy: a value
+    object keeps a fresh array its maker froze, and never freezes or shares a caller's."""
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class IntegralEstimate:
     """One oracle output: the estimate and its price.
@@ -83,9 +92,8 @@ class IntegralEstimate:
 
     def __init__(self, value, queries):  # checked, then set in one write, as HolderSmoothness is
         v = np.asarray(value, dtype=float)
-        v = v.reshape(1) if v.ndim == 0 else v
-        v.setflags(write=False)
-        self.__dict__.update(value=v, queries=check_count("queries", queries, 0))
+        self.__dict__.update(value=_frozen(v.reshape(1) if v.ndim == 0 else v),
+                             queries=check_count("queries", queries, 0))
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -236,6 +244,7 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     budget = _budget(cfg, 0.0)
     panels = max(1, budget // q)
     value = _gauss_sum(_panel_values(g, (panels,), q)[0])
+    value.setflags(write=False)  # fresh, so IntegralEstimate keeps it
     return IntegralEstimate(value=value, queries=panels * q)
 
 
@@ -247,6 +256,7 @@ def _runs(cfg: OracleConfig, rng, k: Optional[int]) -> tuple[np.random.Generator
 
 def _emit(values: np.ndarray, per_call: int, k: Optional[int]) -> IntegralEstimate:
     """One run's estimate, or the batch of ``(k, dim)`` runs charged ``k`` calls."""
+    values.setflags(write=False)  # fresh, so IntegralEstimate keeps a batch without a copy
     return IntegralEstimate(value=values[0] if k is None else values, queries=len(values) * per_call)
 
 
@@ -281,8 +291,7 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
     resid = at_u - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
     residual_means = np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)
-    values = (det_part[:, None] + residual_means).T
-    return _emit(values, panels * q + nsamples, k)
+    return _emit(det_part + residual_means.T, panels * q + nsamples, k)
 
 
 def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
@@ -305,23 +314,13 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     ``(k, dim)`` values are returned, charged at ``k`` times the budget.
     """
     rng, runs = _runs(cfg, rng, k)
-    budget = _budget(cfg, 1.0)
-    reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
+    reference = np.asarray(reference, dtype=float).reshape(-1)
     eps = cfg.eps1
-    values = []
-    for run in rng.random((runs, len(reference), 3)).tolist():
-        # Noise is computed as ``Generator.uniform(lo, hi)`` does it,
-        # ``lo + (hi - lo) * random()``.
-        value = []
-        for ref_j, (band, unit, sign) in zip(reference, run):
-            if band < 0.75:
-                noise = -eps + (eps - -eps) * unit
-            else:
-                magnitude = eps + (10.0 * eps - eps) * unit
-                noise = magnitude if sign < 0.5 else -magnitude
-            value.append(ref_j + noise)
-        values.append(value)
-    return _emit(np.array(values), budget, k)
+    band, unit, sign = rng.random((runs, len(reference), 3)).transpose(2, 0, 1)
+    # Noise is computed as ``Generator.uniform(lo, hi)`` does it, ``lo + (hi - lo) * random()``.
+    magnitude = eps + (10.0 * eps - eps) * unit
+    noise = np.where(band < 0.75, -eps + (eps - -eps) * unit, np.where(sign < 0.5, magnitude, -magnitude))
+    return _emit(reference + noise, _budget(cfg, 1.0), k)
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
@@ -358,6 +357,7 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     nan = np.isnan(s[-1])
     if nan.any():
         median = np.where(nan, s[-1], median)
+    median.setflags(write=False)  # fresh, so IntegralEstimate keeps it
     return IntegralEstimate(value=median, queries=batch.queries)
 
 

@@ -220,7 +220,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, gen=gen)
 
     bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
-    y = problem.eta  # rebound each step, never written to
+    y = problem.eta  # read-only, rebound each step
     pieces = []
     endpoints = [y]
     for i in range(n):
@@ -234,6 +234,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i
+        y.setflags(write=False)  # so the next step's TaylorMap keeps it without a copy
         norm = np.maximum.reduce(np.abs(y))
         if not norm <= bound:  # a NaN or infinite state fails it too
             raise DivergenceError(step=i, norm=float(norm), ledger=ledger)

@@ -28,7 +28,7 @@ from .errors import ContractViolationError, check_count, check_real, step_power
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
-from .quad import _gauss_rule, horner
+from .quad import _frozen, _gauss_rule, horner
 
 __all__ = [
     "VecPolynomial",
@@ -64,10 +64,7 @@ class VecPolynomial:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 2 or 0 in c.shape:
             raise ContractViolationError(f"coeffs must be a (degree+1, dim) array, got shape {c.shape}")
-        if c.flags.writeable or c.base is not None:  # a read-only array owning its data (build_l's) is kept
-            c = c.copy()
-            c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _frozen(c))  # build_l's frozen array is kept
         object.__setattr__(self, "center", float(self.center))
 
     @property
@@ -102,7 +99,7 @@ def local_derivatives(w: TaylorMap, upto: int) -> list[np.ndarray]:
     """
     if check_count("upto", upto, 0) > w.order + 1:
         raise ContractViolationError(f"upto must be at most r + 1 = {w.order + 1}, got {upto}")
-    out = [w.center.copy()]
+    out = [w.center]  # read-only; build_l copies it
     if upto == 0:
         return out
     d1 = w.tensors[0]
@@ -151,9 +148,7 @@ class TaylorMap:
     tensors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=float)  # a copy: freezing must not touch the caller's array
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _frozen(np.asarray(self.center, dtype=float)))  # solve's y is kept
 
     @property
     def dim(self) -> int:

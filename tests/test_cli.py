@@ -1,5 +1,6 @@
 """CLI tests: config plumbing, sweep mechanics, CSV format, slope estimators."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -9,14 +10,22 @@ import pytest
 
 import ivporacle
 from ivporacle import (
+    MODES,
     ContractViolationError,
+    DivergenceError,
     ExperimentConfig,
+    SolveConfig,
+    StationaryStartError,
     SweepRow,
+    catalog,
     estimate_cost_exponent,
     estimate_order,
     rows_to_csv,
     run_sweep,
+    solve,
+    sup_error,
 )
+from ivporacle import cli
 from ivporacle.cli import CSV_COLUMNS, SETTINGS, ConfigError, _build_parser, _config_from_args, main
 
 
@@ -25,6 +34,30 @@ def make_row(n, sup_error, mode="det_values", classical=0, queries=0, seed=0):
                     h=1.0 / n, seed=seed, sup_error=sup_error,
                     classical_evals=classical, oracle_queries=queries,
                     repetitions=0, wall_time=0.0)
+
+
+def per_cell_sweep(config):
+    """The sweep as one solve and audit per ``(problem, mode, r, rho, n, seed)``
+    cell, seeds included: the oracle of ``run_sweep``'s reuse of unboosted cells."""
+    rows = []
+    for name, mode, r, rho, n, seed in itertools.product(
+            config.problems, config.modes, config.r_values, config.rho_values, config.n_values, config.seeds):
+        problem = catalog(name, r=r, rho=rho, eta=config.eta, interval=config.interval)
+        a, b = problem.interval
+        flag, err = "", math.nan
+        try:
+            traj = solve(problem, SolveConfig(n=n, mode=mode, delta=config.delta, seed=seed,
+                                              cost_constant=config.cost_constant, c=config.c))
+            ledger = traj.ledger
+            err = sup_error(traj, problem.reference, config.samples_per_step)
+        except (DivergenceError, StationaryStartError) as exc:
+            flag = f"divergence:step={exc.step}" if isinstance(exc, DivergenceError) else "stationary-start"
+            ledger = exc.ledger
+        rows.append(SweepRow(problem=name, mode=mode, r=r, rho=rho, n=n, h=(b - a) / n, seed=seed,
+                             sup_error=err, classical_evals=ledger.classical_evals,
+                             oracle_queries=ledger.oracle_queries, repetitions=ledger.repetitions,
+                             wall_time=0.0, error=flag))
+    return rows
 
 
 class TestExperimentConfig:
@@ -93,14 +126,27 @@ class TestRunSweep:
 
     def test_divergence_becomes_flagged_row(self):
         cfg = ExperimentConfig(problems=("scalar-quadratic",), r_values=(1,),
-                               n_values=(64,), interval=(0.0, 2.0))
+                               n_values=(64,), seeds=(0, 1, 2), interval=(0.0, 2.0))
         rows = run_sweep(cfg)
-        assert len(rows) == 1
-        assert rows[0].error == "divergence:step=33"
-        assert math.isnan(rows[0].sup_error)
-        # charged up to the diverging step: 34 steps of one f value, one f'
-        # and one det_exact functional
-        assert (rows[0].classical_evals, rows[0].oracle_queries, rows[0].repetitions) == (68, 34, 0)
+        assert [row.seed for row in rows] == [0, 1, 2]
+        for row in rows:  # solved once, flagged at every seed
+            assert row.error == "divergence:step=33"
+            assert math.isnan(row.sup_error)
+            # charged up to the diverging step: 34 steps of one f value, one f'
+            # and one det_exact functional
+            assert (row.classical_evals, row.oracle_queries, row.repetitions) == (68, 34, 0)
+
+    def test_unboosted_cells_solved_once_with_per_cell_bytes(self, monkeypatch):
+        """32 cells x 3 seeds: the 16 unboosted cells are solved once, the 16
+        boosted ones at each seed, and the CSV equals the per-cell loop's."""
+        cfg = ExperimentConfig(problems=("logistic", "integration-reduction"), modes=MODES,
+                               r_values=(0, 1), n_values=(8, 16), seeds=(0, 1, 2))
+        want = rows_to_csv(per_cell_sweep(cfg))
+        calls = []
+        monkeypatch.setattr(cli, "solve", lambda problem, scfg: calls.append(scfg) or solve(problem, scfg))
+        rows = run_sweep(cfg)
+        assert len(rows) == 96 and len(calls) == 64
+        assert rows_to_csv(rows) == want
 
     def test_stationary_start_becomes_flagged_row(self):
         # logistic f(1) = 0; scalar-exponential f(1) = 1 still runs
@@ -119,8 +165,10 @@ class TestRunSweep:
         assert rows[0].wall_time == 0.0
 
     def test_wall_time_recorded_with_timing(self):
-        rows = run_sweep(ExperimentConfig(n_values=(8,), timing=True))
+        rows = run_sweep(ExperimentConfig(n_values=(8,), seeds=(0, 1, 2), timing=True))
         assert rows[0].wall_time > 0.0
+        # the det_exact cell is solved once: its rows share that solve's time
+        assert [(row.seed, row.wall_time) for row in rows] == [(seed, rows[0].wall_time) for seed in (0, 1, 2)]
 
 
 class TestCsv:

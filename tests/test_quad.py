@@ -56,6 +56,20 @@ class TestEstimateAndConfigContracts:
         with pytest.raises(ValueError):
             est.value[0] = 1.0
 
+    def test_estimate_keeps_callers_array_writeable(self):
+        a = np.array([1.0, 2.0])
+        est = IntegralEstimate(a, 1)
+        a[0] = 3.0
+        assert est.value[0] == 1.0
+        assert not est.value.flags.writeable
+
+    def test_estimate_keeps_a_frozen_owner_without_copy(self):
+        a = np.array([1.0, 2.0])
+        a.setflags(write=False)
+        assert IntegralEstimate(a, 1).value is a
+        view = a[:1]  # read-only, but its data belongs to another array
+        assert IntegralEstimate(view, 1).value is not view
+
     def test_negative_queries_rejected(self):
         for queries in (-1, 2.5, "3", True, None):
             with pytest.raises(ContractViolationError):
@@ -497,6 +511,41 @@ class TestQuantumSimOracle:
             est = integrate_quantum_sim(quant_cfg(1e-2, seed=seed), reference=ref)
             in_band += np.abs(est.value - ref) <= 1e-2
         assert np.all(in_band / 1000 >= 0.68) and np.all(in_band / 1000 <= 0.82)
+
+
+def _old_integrate_quantum_sim(cfg, reference, rng, k):
+    """The simulator's values as its per-run, per-component loop of Python
+    floats computed them: the bit-for-bit oracle of the array form."""
+    reference = np.asarray(reference, dtype=float).reshape(-1).tolist()
+    eps = cfg.eps1
+    values = []
+    for run in rng.random((k, len(reference), 3)).tolist():
+        value = []
+        for ref_j, (band, unit, sign) in zip(reference, run):
+            if band < 0.75:
+                noise = -eps + (eps - -eps) * unit
+            else:
+                magnitude = eps + (10.0 * eps - eps) * unit
+                noise = magnitude if sign < 0.5 else -magnitude
+            value.append(ref_j + noise)
+        values.append(value)
+    return np.array(values)
+
+
+def test_quantum_sim_matches_old_loop_bit_for_bit():
+    fuzz = np.random.default_rng(21)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 0.3]
+    for _ in range(300):
+        k, dim = int(fuzz.integers(1, 42)), int(fuzz.integers(1, 4))
+        eps1 = float(10.0 ** fuzz.uniform(-300, 3))
+        reference = np.where(fuzz.random(dim) < 0.5, fuzz.choice(specials, dim), fuzz.normal(0, 10, dim))
+        cfg = quant_cfg(eps1, r=int(fuzz.integers(0, 4)))
+        seed = int(fuzz.integers(2 ** 63))
+        want = _old_integrate_quantum_sim(cfg, reference, np.random.default_rng(seed), k)
+        got = integrate_quantum_sim(cfg, reference, rng=np.random.default_rng(seed), k=k)
+        assert got.value.tobytes() == want.tobytes(), (k, dim, eps1, reference)
+        one = integrate_quantum_sim(cfg, reference, rng=np.random.default_rng(seed))
+        assert one.value.tobytes() == want[0].tobytes()
 
 
 def on_integrand(oracle, g):

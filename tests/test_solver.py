@@ -606,6 +606,21 @@ def test_seed_reproducibility(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name,r", [("logistic", 1), ("integration-reduction", 3)])
+def test_only_boosted_modes_read_the_seed(mode, name, r):
+    """The sweep solves a cell of an unboosted mode once for all its seeds,
+    which holds only while such a mode reads no seed: at the extreme seeds
+    its endpoints, pieces and ledger are identical, and a boosted mode's
+    endpoints differ."""
+    p = catalog(name, r=r)
+    t0, t1 = (solve(p, SolveConfig(n=16, mode=mode, seed=seed)) for seed in (0, 2 ** 64 - 1))
+    same = (t0.endpoints.tobytes() == t1.endpoints.tobytes()
+            and [a.coeffs.tobytes() for a in t0.pieces] == [b.coeffs.tobytes() for b in t1.pieces]
+            and t0.ledger == t1.ledger)
+    assert same is (mode not in solver.BOOSTED_MODES)
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["scalar-exponential", "logistic"])
 def test_general_stepper_specializes_to_modified_euler(mode, name):
     """At r = 0 the stepper is modified Euler, bit for bit."""

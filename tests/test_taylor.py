@@ -174,6 +174,23 @@ class TestBuildW:
         with pytest.raises(ValueError):
             w.center[0] = 0.5
 
+    def test_frozen_state_is_kept_and_a_view_copied(self):
+        """A read-only state that owns its data, as ``solve`` makes each step,
+        becomes the map's center without a copy, and ``local_derivatives``
+        returns that center; a read-only view of another array is copied."""
+        p = catalog("logistic", r=1)
+        y = np.array([0.3])
+        y.setflags(write=False)
+        w = build_w(p, y)
+        assert w.center is y and local_derivatives(w, 2)[0] is y
+        base = np.array([0.3, 0.7])
+        view = base[:1]
+        view.setflags(write=False)
+        w = build_w(p, view)
+        assert w.center is not view and not np.shares_memory(w.center, base)
+        base[0] = 0.4
+        assert w.center[0] == 0.3
+
     def test_batch_evaluation_matches_loop(self):
         p = catalog("scalar-quadratic", r=2)
         w = build_w(p, np.array([1.2]))
