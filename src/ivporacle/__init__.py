@@ -10,6 +10,8 @@ model so empirical convergence orders and cost exponents can be compared
 against the predicted power laws.
 """
 
+import importlib
+
 from .errors import (
     ContractViolationError,
     DivergenceError,
@@ -57,16 +59,24 @@ from .solver import (
     solve,
     sup_error,
 )
-from .cli import (
-    ExperimentConfig,
-    SweepRow,
-    estimate_cost_exponent,
-    estimate_order,
-    rows_to_csv,
-    run_sweep,
-)
 
 __version__ = "0.1.0"
+
+# The sweep driver is imported on first use of ``cli`` or of a name it exports (PEP 562).
+_CLI_NAMES = ("ExperimentConfig", "SweepRow", "estimate_cost_exponent", "estimate_order",
+              "rows_to_csv", "run_sweep")
+
+
+def __getattr__(name):
+    if name != "cli" and name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = importlib.import_module(f"{__name__}.cli")  # ``from . import cli`` would recurse here
+    return cli if name == "cli" else getattr(cli, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_CLI_NAMES))
+
 
 __all__ = [
     "BOOSTED_MODES",

@@ -168,7 +168,7 @@ def _check_point(problem: IVPProblem, y: np.ndarray, batch: bool = False) -> np.
     if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[0] != problem.dim:
         allowed = f"({problem.dim},) or ({problem.dim}, m)" if batch else f"({problem.dim},)"
         raise ContractViolationError(f"point must have shape {allowed}, got {y.shape}")
-    if not np.isfinite(y).all():
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
         raise DomainError("evaluation point must be finite")
     return y
 

@@ -53,6 +53,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+try:  # the C kernel np.einsum forwards to when optimize=False: its bits, without its Python dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
+
 from .errors import ContractViolationError, check_count, check_real, check_seed
 from .problem import HolderSmoothness
 
@@ -147,8 +152,7 @@ def horner(coeffs, s):
     """``sum_k coeffs[k] s^k``, each row broadcast against ``s``: the one Horner order of every
     shifted-basis polynomial, in place on one fresh array; degree 0 is ``coeffs[0] * 1.0``, exact."""
     if len(coeffs) == 1:
-        shape = np.broadcast_shapes(np.shape(coeffs[0]), np.shape(s))
-        return np.multiply(coeffs[0], 1.0, out=np.empty(shape))
+        return coeffs[0] * np.ones_like(s, dtype=float)
     acc = coeffs[-1] * s
     acc += coeffs[-2]
     for k in range(len(coeffs) - 3, -1, -1):
@@ -196,7 +200,7 @@ def _panel_values(g, panels: tuple[int, ...], q: int, samples: Optional[np.ndarr
 
 def _gauss_sum(vals: np.ndarray) -> np.ndarray:
     """The composite Gauss estimate of ``int_0^1`` from (dim, panels, q) panel values."""
-    return np.einsum("dpq,q->d", vals, _gauss_rule(vals.shape[2])[1]) / vals.shape[1]
+    return _einsum("dpq,q->d", vals, _gauss_rule(vals.shape[2])[1]) / vals.shape[1]
 
 
 #: The reference quadrature's default tolerance, and its last level's panels.
@@ -286,11 +290,12 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     u = rng.random((runs, nsamples)).reshape(-1)
     vals, at_u = _panel_values(g, (panels,), q, u)
     det_part = _gauss_sum(vals)
-    idx = np.minimum((u * panels).astype(int), panels - 1)
-    xi = u * panels - idx
-    coeffs = np.einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
+    scaled = u * panels
+    idx = np.minimum(scaled.astype(int), panels - 1)
+    xi = scaled - idx
+    coeffs = _einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
     resid = at_u - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
-    residual_means = np.mean(resid.reshape(resid.shape[0], runs, nsamples), axis=2)
+    residual_means = np.add.reduce(resid.reshape(resid.shape[0], runs, nsamples), axis=2) / nsamples
     return _emit(det_part + residual_means.T, panels * q + nsamples, k)
 
 
@@ -343,16 +348,17 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     """Componentwise median of a batch of ``(k, dim)`` runs, at their summed price.
 
     Equal to ``np.median(batch.value, axis=0)`` bit for bit, without its
-    generic reduction machinery: the same ``np.partition`` call puts the
-    middle entries and, last, any NaN in place, so even a NaN's sign and
-    payload match.  The median is the middle entry for odd ``k`` and the
-    mean of the middle two for even ``k``, both summed from ``+0.0`` as
-    ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.  A column
-    holding a NaN gets the NaN its last partitioned entry holds.
+    generic reduction machinery: the partition ``np.partition`` makes, on
+    the copy it makes, puts the middle entries and, last, any NaN in place,
+    so even a NaN's sign and payload match.  The median is the middle entry
+    for odd ``k`` and the mean of the middle two for even ``k``, both summed
+    from ``+0.0`` as ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.
+    A column holding a NaN gets the NaN its last partitioned entry holds.
     """
     k = len(batch.value)
     m = k // 2
-    s = np.partition(batch.value, [m, -1] if k % 2 else [m - 1, m, -1], axis=0)
+    s = batch.value.copy(order="K")
+    s.partition([m, -1] if k % 2 else [m - 1, m, -1], axis=0)
     median = 0.0 + s[m] if k % 2 else (0.0 + s[m - 1] + s[m]) / 2
     nan = np.isnan(s[-1])
     if nan.any():

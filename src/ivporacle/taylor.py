@@ -28,7 +28,7 @@ from .errors import ContractViolationError, check_count, check_real, step_power
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
-from .quad import _frozen, _gauss_rule, horner
+from .quad import _einsum, _frozen, _gauss_rule, horner
 
 __all__ = [
     "VecPolynomial",
@@ -109,12 +109,12 @@ def local_derivatives(w: TaylorMap, upto: int) -> list[np.ndarray]:
         out.append(f1 @ d1)
     if upto >= 3:
         f2 = 2.0 * w.tensors[2]
-        out.append(np.einsum("ijk,j,k->i", f2, d1, d1) + f1 @ out[2])
+        out.append(_einsum("ijk,j,k->i", f2, d1, d1) + f1 @ out[2])
     if upto >= 4:
         f3 = 6.0 * w.tensors[3]
         out.append(
-            np.einsum("ijkl,j,k,l->i", f3, d1, d1, d1)
-            + 3.0 * np.einsum("ijk,j,k->i", f2, d1, out[2])
+            _einsum("ijkl,j,k,l->i", f3, d1, d1, d1)
+            + 3.0 * _einsum("ijk,j,k->i", f2, d1, out[2])
             + f1 @ out[3]
         )
     return out
@@ -169,15 +169,15 @@ class TaylorMap:
         """The unchecked kernel: ``w`` at a float batch ``(dim, m)``, as a fresh array."""
         t = self.tensors
         if len(t) == 1:
-            return np.repeat(t[0][:, None], pts.shape[1], axis=1)
+            return t[0][:, None].repeat(pts.shape[1], axis=1)
         # T0 + T1 dy + ..., summed left to right in place (T0 + E equals E + T0 bit for bit)
         dy = pts - self.center[:, None]
-        acc = np.einsum("ci,im->cm", t[1], dy)
+        acc = _einsum("ci,im->cm", t[1], dy)
         acc += t[0][:, None]
         if len(t) > 2:
-            acc += np.einsum("cij,im,jm->cm", t[2], dy, dy)
+            acc += _einsum("cij,im,jm->cm", t[2], dy, dy)
         if len(t) > 3:
-            acc += np.einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
+            acc += _einsum("cijk,im,jm,km->cm", t[3], dy, dy, dy)
         return acc
 
 

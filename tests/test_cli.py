@@ -260,15 +260,34 @@ interval = 0.0, 1.0
 """
 
 
+def _python(*args):
+    """A fresh interpreter, warnings as errors, importing this package."""
+    src = os.path.dirname(os.path.dirname(ivporacle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestMain:
     def test_module_entry_point_runs_without_warnings(self):
-        src = os.path.dirname(os.path.dirname(ivporacle.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-W", "error", "-m", "ivporacle", "--help"],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _python("-m", "ivporacle", "--help")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.startswith("usage: ivporacle")
+
+    def test_package_import_leaves_the_sweep_driver_until_used(self):
+        script = "\n".join([
+            "import sys, ivporacle",
+            "assert 'ivporacle.cli' not in sys.modules",
+            "names = dir(ivporacle)",
+            "assert all(getattr(ivporacle, name) is not None and name in names for name in ivporacle.__all__)",
+            "assert 'ivporacle.cli' in sys.modules and ivporacle.cli is sys.modules['ivporacle.cli']",
+            "scope = {}",
+            "exec('from ivporacle import *', scope)",
+            "assert all(scope[name] is getattr(ivporacle, name) for name in ivporacle.__all__)",
+            "assert scope['run_sweep'] is ivporacle.cli.run_sweep",
+        ])
+        proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_config_file_drives_sweep(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.ini"

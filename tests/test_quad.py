@@ -30,7 +30,7 @@ from ivporacle import (
     repetitions_for,
     solve,
 )
-from ivporacle import solver
+from ivporacle import quad, solver, taylor
 from ivporacle.quad import (REFERENCE_MAX_PANELS, REFERENCE_TOL, _budget, _eval, _gauss_rule, _panel_nodes,
                             _vandermonde_inv, horner, median_of)
 from ivporacle.taylor import ResidualIntegrand, build_l, build_w, local_derivatives
@@ -432,6 +432,13 @@ def test_horner_degree_zero_matches_ones_product(shape, s):
     want = c[0] * np.ones_like(s)
     got = horner(c, s)
     assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_einsum_is_the_c_kernel_np_einsum_calls():
+    """The step kernels call the function ``np.einsum`` forwards to when
+    ``optimize=False``, so they keep its bits."""
+    assert quad._einsum is np.einsum._implementation.__globals__["c_einsum"]
+    assert taylor._einsum is quad._einsum
 
 
 class TestQuantumSimOracle:

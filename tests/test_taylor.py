@@ -521,6 +521,28 @@ def _checked_residual_call(g, u):
     return gap
 
 
+def _einsum_local_derivatives(w, upto):
+    out = [w.center]
+    if upto == 0:
+        return out
+    d1 = w.tensors[0]
+    out.append(d1)
+    if upto >= 2:
+        f1 = w.tensors[1]
+        out.append(f1 @ d1)
+    if upto >= 3:
+        f2 = 2.0 * w.tensors[2]
+        out.append(np.einsum("ijk,j,k->i", f2, d1, d1) + f1 @ out[2])
+    if upto >= 4:
+        f3 = 6.0 * w.tensors[3]
+        out.append(
+            np.einsum("ijkl,j,k,l->i", f3, d1, d1, d1)
+            + 3.0 * np.einsum("ijk,j,k->i", f2, d1, out[2])
+            + f1 @ out[3]
+        )
+    return out
+
+
 def _copying_build_l(derivs, x_i):
     coeffs = np.array(derivs, dtype=float)
     if coeffs.ndim == 1:
@@ -583,6 +605,20 @@ def test_step_kernels_on_random_data_bit_for_bit(order, dim):
             derivs = [_signed_zeros(rng, dim) for _ in range(degree + 1)]
             x_i = float(rng.uniform(-2.0, 2.0))
             _step_kernels_agree(None, w, build_l(derivs, x_i), derivs, x_i)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("upto", [0, 1, 2, 3, 4])
+def test_local_derivatives_on_random_data_bit_for_bit(upto, dim):
+    """``local_derivatives`` against its ``np.einsum`` body, on maps of every
+    order it accepts, with signed zeros in every input."""
+    rng = np.random.default_rng(2000 + 10 * upto + dim)
+    for order in range(max(upto - 1, 0), 4):
+        for _ in range(3):
+            w = TaylorMap(center=_signed_zeros(rng, dim),
+                          tensors=tuple(_signed_zeros(rng, (dim,) * (j + 1)) for j in range(order + 1)))
+            got, want = local_derivatives(w, upto), _einsum_local_derivatives(w, upto)
+            assert [_bits(d) for d in got] == [_bits(d) for d in want]
 
 
 def test_build_l_freezes_a_fresh_array_of_its_own():
