@@ -119,6 +119,10 @@ Rhs = Callable[[np.ndarray], np.ndarray]
 #: ``(dim,)``, ``T_0 = f(y)``.
 Jet = Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
 
+#: Reference signature: ``reference(t)`` maps times of any shape to the solution,
+#: ``(dim,) + np.shape(t)``: ``(dim, m)`` for the audit's block of ``m`` times.
+Reference = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclasses.dataclass(frozen=True)
 class IVPProblem:
@@ -126,9 +130,10 @@ class IVPProblem:
 
     ``f`` serves values at points (:func:`eval_rhs`) and ``jet`` the
     order-``r`` Taylor data at one point (:func:`~ivporacle.taylor.build_w`);
-    see :data:`Rhs` and :data:`Jet` for their shapes.  Instances are
-    immutable; solves never mutate the problem, only their own private
-    :class:`CostLedger`.
+    the optional ``reference`` is the exact solution, which only the audit
+    reads.  See :data:`Rhs`, :data:`Jet` and :data:`Reference` for their
+    shapes.  Instances are immutable; solves never mutate the problem, only
+    their own private :class:`CostLedger`.
     """
 
     dim: int
@@ -137,7 +142,7 @@ class IVPProblem:
     f: Rhs
     jet: Jet
     smoothness: HolderSmoothness
-    reference: Optional[Callable[[float], np.ndarray]] = None
+    reference: Optional[Reference] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -244,13 +249,18 @@ def _constant(c: float) -> Callable:
     return lambda z: z * 0.0 + c
 
 
+def _exp(s) -> np.ndarray:
+    """``math.exp`` by element: libm's bits and ``OverflowError``, not numpy's (SIMD) exp."""
+    return np.array(list(map(math.exp, s.ravel().tolist()))).reshape(s.shape)
+
+
 #: Scalar entries ``z' = f(z)``, one row each: ``f`` and its derivatives up to
-#: ``MAX_ORDER`` as functions of the state, the solution as a function of
-#: ``(eta, t - a)``, and the default ``eta`` and interval.
+#: ``MAX_ORDER`` as functions of the state, the solution as a function of ``eta``
+#: and the array ``t - a``, and the default ``eta`` and interval.
 _SCALAR_ROWS = {
     "scalar-exponential": (
         (lambda z: z, _constant(1.0), _constant(0.0), _constant(0.0)),
-        lambda eta, s: eta * math.exp(s),
+        lambda eta, s: eta * _exp(s),
         1.0, (0.0, 1.0),
     ),
     # blow-up at t = a + 1/eta; the default [0, 0.5] keeps the solution inside [1, 2]
@@ -262,7 +272,7 @@ _SCALAR_ROWS = {
     # z(1 - z) has degree 2, so the residual vanishes for r >= 2
     "logistic": (
         (lambda z: z * (1.0 - z), lambda z: 1.0 - 2.0 * z, _constant(-2.0), _constant(0.0)),
-        lambda eta, s: 1.0 / (1.0 + (1.0 / eta - 1.0) * math.exp(-s)),
+        lambda eta, s: 1.0 / (1.0 + (1.0 / eta - 1.0) * _exp(-s)),
         0.2, (0.0, 1.0),
     ),
 }
@@ -285,9 +295,8 @@ def _scalar(name: str, key: Optional[str], smooth: HolderSmoothness, eta: tuple[
         raise UnknownProblemError(f"{name} takes no ':<key>', got {name}:{key}")
     derivs, solution, _, _ = _SCALAR_ROWS[name]
     eta0, a = eta[0], interval[0]
-    # a closed form that divides by zero at t = a (logistic from 0) has no reference
-    try:
-        solution(eta0, 0.0)
+    try:  # a closed form that divides by zero in eta alone (logistic from 0) has no reference
+        solution(eta0, np.zeros(0))
     except ZeroDivisionError:
         raise DomainError(f"{name} has no closed-form solution from eta = {eta0!r}") from None
 
@@ -296,7 +305,7 @@ def _scalar(name: str, key: Optional[str], smooth: HolderSmoothness, eta: tuple[
         return tuple([np.array(derivs[j](z) / math.factorial(j), ndmin=j + 1) for j in range(r + 1)])
 
     return IVPProblem(dim=1, interval=interval, eta=np.array(eta), f=derivs[0], jet=jet, smoothness=smooth,
-                      reference=lambda t: np.array([solution(eta0, t - a)]), name=name)
+                      reference=lambda t: solution(eta0, np.asarray(t, dtype=float) - a)[None], name=name)
 
 
 def _integration_reduction(name: str, key: Optional[str], smooth: HolderSmoothness,

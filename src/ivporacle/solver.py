@@ -26,11 +26,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
-                     check_count, check_real, check_seed, step_power)
+                     check_count, check_real, check_seed, is_real, step_power)
 # eval_rhs, boost_median and derive_seed are unused here; they stay module
 # attributes because the benchmark's tracer (perfbench/spans.py) patches them
 # by name.
-from .problem import CostLedger, IVPProblem, eval_rhs  # noqa: F401
+from .problem import CostLedger, IVPProblem, Reference, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
     REFERENCE_TOL,
     IntegralEstimate,
@@ -250,8 +250,10 @@ def eval_trajectory(traj: Trajectory, t: float) -> np.ndarray:
     """Evaluate the piecewise output at ``t``.
 
     Pieces are taken left-closed: ``t`` in ``[x_i, x_{i+1})`` selects piece
-    ``i``, and ``t = b`` selects the last piece.
+    ``i``, and ``t = b`` selects the last piece; ``t`` is one real number.
     """
+    if not is_real(t):
+        raise ContractViolationError(f"t must be a real number, got {t!r}")
     t = float(t)
     a, b = traj.breakpoints[0], traj.breakpoints[-1]
     if not a <= t <= b:
@@ -261,15 +263,14 @@ def eval_trajectory(traj: Trajectory, t: float) -> np.ndarray:
     return traj.pieces[i](t)
 
 
-def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
-              samples_per_step: int = 8) -> float:
+def sup_error(traj: Trajectory, reference: Reference, samples_per_step: int = 8) -> float:
     """Max-norm gap between trajectory and reference on a per-piece grid.
 
     Samples ``samples_per_step`` equispaced points per piece, endpoints
-    included, so grid states and interiors are both audited.  Each block of
-    ``AUDIT_PIECES`` pieces is evaluated in one batched Horner pass;
-    ``reference`` is called once per sample, piece by piece, with an
-    ``np.float64`` time, and must return a ``(dim,)`` array.  The
+    included, so grid states and interiors are both audited.  Pieces are
+    audited ``AUDIT_PIECES`` at a time: one batched Horner pass, and one
+    ``reference`` call with the block's ``m`` sample times, a 1-d float
+    array in piece order, which must return a ``(dim, m)`` array.  The
     breakpoints must increase strictly.  A NaN gap at any sample makes the
     result NaN.
     """
@@ -289,13 +290,13 @@ def sup_error(traj: Trajectory, reference: Callable[[float], np.ndarray],
         part = slice(lo, lo + AUDIT_PIECES)
         ts = np.linspace(traj.breakpoints[:-1][part], traj.breakpoints[1:][part], samples_per_step, axis=1)
         s = (ts - centers[part, None])[:, :, None]
-        approx = horner(coeffs[part].transpose(1, 0, 2)[:, :, None], s)
-        values = [reference(t) for t in ts.ravel()]
+        approx = horner(coeffs[part].transpose(1, 0, 2)[:, :, None], s)  # (pieces, samples, dim)
+        values = reference(ts.ravel())  # outside the try: the reference's own errors pass through
         try:
-            exact = np.array(values, dtype=float)
-            if exact.shape != (ts.size, dim):
+            exact = np.asarray(values, dtype=float)
+            if exact.shape != (dim, ts.size):
                 raise ValueError
         except ValueError:
-            raise ContractViolationError(f"reference must return a ({dim},) array at each sample") from None
-        gaps.append(np.max(np.abs(approx - exact.reshape(approx.shape))))
+            raise ContractViolationError(f"reference must map {ts.size} times to ({dim}, {ts.size})") from None
+        gaps.append(np.max(np.abs(approx - exact.reshape((dim,) + ts.shape).transpose(1, 2, 0))))
     return float(np.max(gaps))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -350,6 +351,34 @@ def test_reference_satisfies_ode(name):
         lhs = (np.asarray(p.reference(t + dt)) - np.asarray(p.reference(t - dt))) / (2 * dt)
         rhs = eval_rhs(p, np.asarray(p.reference(t)))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_reference_shape_follows_time_shape(name):
+    p = catalog(name)
+    for shape in ((), (0,), (1,), (5,), (2, 3)):
+        assert p.reference(np.full(shape, p.interval[1])).shape == (p.dim,) + shape
+
+
+def test_scalar_references_keep_libm_exp():
+    # the closed forms per time, as written before references took arrays
+    ts = np.linspace(0.0, 1.0, 97)
+    assert (catalog("scalar-exponential", eta=1.3).reference(ts).tobytes()
+            == np.array([[1.3 * math.exp(t - 0.0) for t in ts]]).tobytes())
+    assert (catalog("logistic").reference(ts).tobytes()
+            == np.array([[1.0 / (1.0 + (1.0 / 0.2 - 1.0) * math.exp(-(t - 0.0))) for t in ts]]).tobytes())
+
+
+def test_reference_pole_warns_and_exp_overflow_raises():
+    pole = catalog("scalar-quadratic", interval=(0.0, 1.0))  # from eta = 1 it blows up at t = 1
+    for t in (1.0, np.float64(1.0), np.array([0.5, 1.0])):
+        with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
+            warnings.simplefilter("error", RuntimeWarning)
+            pole.reference(t)
+    huge = catalog("scalar-exponential", interval=(0.0, 1000.0))
+    for t in (1000.0, np.array([0.0, 1000.0])):
+        with pytest.raises(OverflowError):
+            huge.reference(t)
 
 
 def _multi_indices(dim, order):

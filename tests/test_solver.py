@@ -288,12 +288,24 @@ class TestEvalTrajectory:
         traj = solve(p, SolveConfig(n=1))
         assert eval_trajectory(traj, 0.05)[0] == pytest.approx(1.05, abs=1e-15)
 
-    @pytest.mark.parametrize("t", [-0.1, 1.1])
+    @pytest.mark.parametrize("t", [-0.1, 1.1, math.nan])
     def test_domain_guard(self, t):
         p = catalog("scalar-exponential", r=0)
         traj = solve(p, SolveConfig(n=4))
         with pytest.raises(DomainError):
             eval_trajectory(traj, t)
+
+    @pytest.mark.parametrize("t", [True, "0.5", None, np.array([0.5]), np.array(0.5)],
+                             ids=["bool", "str", "none", "1-d", "0-d"])
+    def test_time_must_be_one_real_number(self, t):
+        traj = solve(catalog("scalar-exponential", r=0), SolveConfig(n=4))
+        with pytest.raises(ContractViolationError):
+            eval_trajectory(traj, t)
+
+    def test_integer_and_numpy_times_accepted(self):
+        traj = solve(catalog("scalar-exponential", r=0), SolveConfig(n=4))
+        for t in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+            np.testing.assert_array_equal(eval_trajectory(traj, t), eval_trajectory(traj, 1.0))
 
 
 def per_piece_sup_error(traj, reference, samples_per_step=8):
@@ -310,6 +322,11 @@ def per_piece_sup_error(traj, reference, samples_per_step=8):
     return worst
 
 
+def zero_reference(t):
+    """The solution ``0`` of a 1-d problem, at times of any shape."""
+    return np.zeros((1,) + np.shape(t))
+
+
 def hand_trajectory(coeffs, breakpoints=(0.0, 1.0)):
     """Trajectory with one piece per coefficient array, centred at its left end."""
     pieces = tuple(VecPolynomial(center=lo, coeffs=np.array(c)) for lo, c in zip(breakpoints, coeffs))
@@ -319,10 +336,11 @@ def hand_trajectory(coeffs, breakpoints=(0.0, 1.0)):
 
 class TestSupError:
     def test_self_reference_is_zero(self):
-        # single piece: no seams, so the trajectory matches itself exactly
+        # single piece: no seams, so the trajectory matches itself exactly;
+        # eval_trajectory takes one time, so the reference stacks its columns
         p = catalog("logistic", r=1)
         traj = solve(p, SolveConfig(n=1))
-        assert sup_error(traj, lambda t: eval_trajectory(traj, t)) == 0.0
+        assert sup_error(traj, lambda ts: np.stack([eval_trajectory(traj, t) for t in ts], axis=1)) == 0.0
 
     def test_constant_gap(self):
         traj = Trajectory(
@@ -331,10 +349,10 @@ class TestSupError:
             endpoints=np.array([[1.0], [1.0]]),
             ledger=CostLedger(), mode="det_exact",
         )
-        assert sup_error(traj, lambda t: np.array([0.0])) == 1.0
+        assert sup_error(traj, zero_reference) == 1.0
         for samples in (2, 3, 8):
-            assert (sup_error(traj, lambda t: np.array([0.0]), samples)
-                    == per_piece_sup_error(traj, lambda t: np.array([0.0]), samples) == 1.0)
+            assert (sup_error(traj, zero_reference, samples)
+                    == per_piece_sup_error(traj, zero_reference, samples) == 1.0)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
@@ -356,20 +374,44 @@ class TestSupError:
         for samples in (2, 3, 8):
             assert sup_error(traj, p.reference, samples) == per_piece_sup_error(traj, p.reference, samples)
 
-    def test_reference_called_once_per_sample_in_piece_order(self):
+    def test_reference_called_once_per_block_in_piece_order(self):
         p = catalog("integration-reduction", r=2)
-        traj = solve(p, SolveConfig(n=7))
+        n = 2 * solver.AUDIT_PIECES + 3
+        traj = solve(p, SolveConfig(n=n))
         seen = []
 
-        def reference(t):
-            seen.append(t)
-            return p.reference(t)
+        def reference(ts):
+            seen.append(ts)
+            return p.reference(ts)
 
         sup_error(traj, reference, samples_per_step=3)
-        want = [t for i in range(7) for t in np.linspace(traj.breakpoints[i], traj.breakpoints[i + 1], 3)]
-        assert len(seen) == 7 * 3
-        assert all(type(t) is np.float64 for t in seen)
-        assert np.array(seen).tobytes() == np.array(want).tobytes()
+        want = [t for i in range(n) for t in np.linspace(traj.breakpoints[i], traj.breakpoints[i + 1], 3)]
+        assert len(seen) == math.ceil(n / solver.AUDIT_PIECES) == 3
+        assert [ts.size for ts in seen] == [3 * solver.AUDIT_PIECES, 3 * solver.AUDIT_PIECES, 3 * 3]
+        assert all(type(ts) is np.ndarray and ts.ndim == 1 and ts.dtype == np.float64 for ts in seen)
+        assert np.concatenate(seen).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
+    def test_reference_on_blocks_matches_calls_per_time(self, name):
+        # the audit's one call per block must give the bits of one call per time
+        p = catalog(name)
+        for t in p.interval:
+            for time in (t, np.float64(t)):
+                one = p.reference(time)
+                assert one.shape == (p.dim,)
+                assert one.tobytes() == p.reference(np.array([t]))[:, 0].tobytes()
+        for n in (1, 7, 64, 2 * solver.AUDIT_PIECES + 3):
+            traj = solve(p, SolveConfig(n=n))
+            for samples in (2, 3, 8):
+                blocks = []
+                sup_error(traj, lambda ts: blocks.append(ts) or p.reference(ts), samples)
+                assert len(blocks) == math.ceil(n / solver.AUDIT_PIECES)
+                assert blocks[0][0] == p.interval[0] and blocks[-1][-1] == p.interval[1]
+                for ts in blocks:
+                    got = p.reference(ts)
+                    want = np.stack([p.reference(t) for t in ts], axis=1)
+                    assert got.shape == (p.dim, ts.size)
+                    assert got.tobytes() == want.tobytes(), (n, samples)
 
     @pytest.mark.parametrize("n", [4, 2 * solver.AUDIT_PIECES + 3])
     def test_nan_gap_on_one_piece_is_nan(self, n):
@@ -377,15 +419,16 @@ class TestSupError:
         traj = solve(p, SolveConfig(n=n))
 
         def reference(t):  # NaN inside the last piece, which is in the last block, only
-            return np.array([np.nan]) if 1 - 0.5 / n < t < 1 else p.reference(t)
+            return np.where((1 - 0.5 / n < t) & (t < 1), np.nan, p.reference(t))
 
         assert math.isfinite(per_piece_sup_error(traj, reference))
         assert math.isnan(sup_error(traj, reference))
 
     def test_all_nan_reference_is_nan(self):
         traj = solve(catalog("scalar-exponential", r=0), SolveConfig(n=4))
-        assert per_piece_sup_error(traj, lambda t: np.array([np.nan])) == 0.0
-        assert math.isnan(sup_error(traj, lambda t: np.array([np.nan])))
+        nan_reference = lambda t: np.full((1,) + np.shape(t), np.nan)
+        assert per_piece_sup_error(traj, nan_reference) == 0.0
+        assert math.isnan(sup_error(traj, nan_reference))
 
     @pytest.mark.parametrize("traj", [
         hand_trajectory([[[1.0]], [[1.0], [2.0]]], (0.0, 0.5, 1.0)),  # degrees 0 and 1
@@ -398,19 +441,27 @@ class TestSupError:
     ], ids=["degree", "dim", "breakpoints", "empty", "repeated", "decreasing", "nan"])
     def test_mixed_or_short_trajectory_rejected(self, traj):
         with pytest.raises(ContractViolationError):
-            sup_error(traj, lambda t: np.array([0.0]))
+            sup_error(traj, zero_reference)
 
     @pytest.mark.parametrize("reference", [
-        lambda t: 0.0,  # scalar for a 1-d trajectory
-        lambda t: np.array([0.0, 0.0]),  # two components for one
-        lambda t: np.array([[0.0]]),  # (1, 1)
-        lambda t: np.array([0.0]) if t < 0.5 else np.array([0.0, 0.0]),  # shape changes along the grid
-        lambda t: ["zero"],  # not numeric
-    ], ids=["scalar", "too-long", "2-d", "ragged", "text"])
+        lambda ts: 0.0,  # scalar for a 1-d trajectory
+        lambda ts: np.zeros((2, ts.size)),  # two components for one
+        lambda ts: np.zeros((ts.size, 1)),  # (m, dim): one row per time
+        lambda ts: np.zeros((1, ts.size, 1)),  # an extra axis
+        lambda ts: [[0.0 if t < 0.5 else [0.0, 0.0] for t in ts]],  # shape changes along the grid
+        lambda ts: [["zero"] * ts.size],  # not numeric
+    ], ids=["scalar", "too-long", "2-d", "3-d", "ragged", "text"])
     def test_reference_of_wrong_shape_rejected(self, reference):
         traj = hand_trajectory([[[1.0]]])
         with pytest.raises(ContractViolationError):
             sup_error(traj, reference)
+
+    def test_reference_errors_pass_through(self):
+        def reference(ts):
+            raise DomainError("time outside the reference's domain")
+
+        with pytest.raises(DomainError):
+            sup_error(hand_trajectory([[[1.0]]]), reference)
 
     def test_samples_per_step_floor(self):
         p = catalog("scalar-exponential", r=0)
