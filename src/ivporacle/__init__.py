@@ -12,53 +12,12 @@ against the predicted power laws.
 
 import importlib
 
-from .errors import (
-    ContractViolationError,
-    DivergenceError,
-    DomainError,
-    StationaryStartError,
-    UnknownProblemError,
-)
-from .problem import (
-    MAX_ORDER,
-    CostLedger,
-    HolderSmoothness,
-    IVPProblem,
-    catalog,
-    catalog_names,
-    eval_partial,
-    eval_rhs,
-)
-from .taylor import (
-    ResidualIntegrand,
-    TaylorMap,
-    VecPolynomial,
-    build_l,
-    build_w,
-    integrate_w_of_l,
-    local_derivatives,
-)
-from .quad import (
-    IntegralEstimate,
-    OracleConfig,
-    boost_median,
-    derive_seed,
-    integrate_deterministic,
-    integrate_quantum_sim,
-    integrate_randomized,
-    integrate_reference,
-    quantum_reference,
-    repetitions_for,
-)
-from .solver import (
-    BOOSTED_MODES,
-    MODES,
-    SolveConfig,
-    Trajectory,
-    eval_trajectory,
-    solve,
-    sup_error,
-)
+from . import errors, problem, quad, solver, taylor
+from .errors import *
+from .problem import *
+from .taylor import *
+from .quad import *
+from .solver import *
 
 __version__ = "0.1.0"
 
@@ -78,49 +37,6 @@ def __dir__():
     return sorted(set(globals()) | set(_CLI_NAMES))
 
 
-__all__ = [
-    "BOOSTED_MODES",
-    "ContractViolationError",
-    "CostLedger",
-    "DivergenceError",
-    "DomainError",
-    "ExperimentConfig",
-    "HolderSmoothness",
-    "IVPProblem",
-    "IntegralEstimate",
-    "MAX_ORDER",
-    "MODES",
-    "OracleConfig",
-    "ResidualIntegrand",
-    "SolveConfig",
-    "StationaryStartError",
-    "SweepRow",
-    "TaylorMap",
-    "Trajectory",
-    "UnknownProblemError",
-    "VecPolynomial",
-    "boost_median",
-    "build_l",
-    "build_w",
-    "catalog",
-    "catalog_names",
-    "derive_seed",
-    "estimate_cost_exponent",
-    "estimate_order",
-    "eval_partial",
-    "eval_rhs",
-    "eval_trajectory",
-    "integrate_deterministic",
-    "integrate_quantum_sim",
-    "integrate_randomized",
-    "integrate_reference",
-    "integrate_w_of_l",
-    "local_derivatives",
-    "quantum_reference",
-    "repetitions_for",
-    "rows_to_csv",
-    "run_sweep",
-    "solve",
-    "sup_error",
-    "__version__",
-]
+# Each module's ``__all__`` is its public list; the package exports their union.
+__all__ = [*errors.__all__, *problem.__all__, *taylor.__all__, *quad.__all__, *solver.__all__,
+           *_CLI_NAMES, "__version__"]

@@ -4,6 +4,9 @@ and seed arguments that raise them: ``int``, ``float`` and numpy numbers pass,
 
 import numpy as np
 
+__all__ = ["ContractViolationError", "DomainError", "UnknownProblemError", "DivergenceError",
+           "StationaryStartError"]
+
 
 class ContractViolationError(ValueError):
     """An argument violates a documented precondition (bad order, bad k, ...)."""

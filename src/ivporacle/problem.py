@@ -34,6 +34,7 @@ __all__ = [
     "eval_rhs",
     "catalog",
     "catalog_names",
+    "MAX_ORDER",
 ]
 
 #: Highest supported differentiability order of the right-hand side.
@@ -194,8 +195,9 @@ def eval_partial(
     component : int
         Component index of ``f`` (0-based).
     alpha : sequence of int
-        Multi-index over the state variables; total order at most the
-        declared ``r``.  The all-zero multi-index requests a plain value.
+        Multi-index over the state variables (a sequence or 1-d integer array
+        of counts); total order at most the declared ``r``.  The all-zero
+        multi-index requests a plain value.
     ledger : CostLedger, optional
         Charged one classical evaluation when given.
 
@@ -205,11 +207,13 @@ def eval_partial(
         ``d^alpha f_component(y)``, read off ``problem.jet(y, sum(alpha))``.
     """
     y = _check_point(problem, y)
-    if not 0 <= component < problem.dim:
+    if check_count("component", component, 0) >= problem.dim:
         raise ContractViolationError(f"component {component} out of range for dim {problem.dim}")
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != problem.dim or any(a < 0 for a in alpha):
-        raise ContractViolationError(f"alpha must be {problem.dim} non-negative integers, got {alpha}")
+    if isinstance(alpha, np.ndarray):
+        alpha = alpha.tolist()
+    if not isinstance(alpha, Sequence) or len(alpha) != problem.dim:
+        raise ContractViolationError(f"alpha must be a sequence of {problem.dim} counts, got {alpha!r}")
+    alpha = tuple(check_count("alpha entry", a, 0) for a in alpha)
     order = sum(alpha)
     if order > problem.smoothness.r:
         raise ContractViolationError(
@@ -377,6 +381,8 @@ def catalog(name: str, *, r: int = 0, rho: float = 1.0, eta=None,
     ``eta`` (a number, or one value per component) and ``interval`` (two
     numbers) override the entry defaults.
     """
+    if not isinstance(name, str):
+        raise ContractViolationError(f"problem name must be a string, got {name!r}")
     smooth = HolderSmoothness(r=r, rho=rho)
     base, key = name.split(":", 1) if ":" in name else (name, None)
     if base not in _CATALOG:

@@ -68,7 +68,6 @@ __all__ = [
     "integrate_randomized",
     "integrate_quantum_sim",
     "integrate_reference",
-    "quantum_reference",
     "boost_median",
     "median_of",
     "repetitions_for",
@@ -226,11 +225,6 @@ def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     return cur
 
 
-#: The simulated-quantum oracle's reference is the one reference quadrature;
-#: the caller computes it once per ``g`` and passes it in.
-quantum_reference = integrate_reference
-
-
 def _budget(cfg: OracleConfig, exponent_shift: float) -> int:
     r, rho = cfg.smoothness
     return math.ceil(cfg.cost_constant * cfg.eps1 ** (-1.0 / (r + rho + exponent_shift)))
@@ -310,7 +304,7 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     single call succeeds at the advertised 3/4 rate and boosting has genuine
     outliers to suppress.  ``reference`` is the integral the device would
     estimate, which the caller computes (the solver with
-    :func:`quantum_reference`), so no integrand is passed or evaluated;
+    :func:`integrate_reference`), so no integrand is passed or evaluated;
     queries are charged at the modeled budget.
 
     The draws are one ``(k, dim, 3)`` block from ``rng`` (default

@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
                      check_count, check_real, check_seed, is_real, step_power)
-# eval_rhs, boost_median and derive_seed are unused here; they stay module
-# attributes because the benchmark's tracer (perfbench/spans.py) patches them
-# by name.
+# eval_rhs, boost_median and derive_seed are unused here, and a quantum_sim step
+# calls integrate_reference by a second name, quantum_reference (below); they
+# stay module attributes because the benchmark's tracer (perfbench/spans.py)
+# patches them by name.
 from .problem import CostLedger, IVPProblem, Reference, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
     REFERENCE_TOL,
@@ -43,7 +44,6 @@ from .quad import (  # noqa: F401
     integrate_randomized,
     integrate_reference,
     median_of,
-    quantum_reference,
     repetitions_for,
 )
 from .taylor import (
@@ -54,6 +54,8 @@ from .taylor import (
     integrate_w_of_l,
     local_derivatives,
 )
+
+quantum_reference = integrate_reference
 
 __all__ = ["MODES", "BOOSTED_MODES", "SolveConfig", "Trajectory", "solve", "eval_trajectory", "sup_error"]
 

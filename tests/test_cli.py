@@ -278,9 +278,16 @@ class TestMain:
         script = "\n".join([
             "import sys, ivporacle",
             "assert 'ivporacle.cli' not in sys.modules",
+            "from ivporacle import errors, problem, quad, solver, taylor",
+            "modules = (errors, problem, taylor, quad, solver)",
+            "public = {name for module in modules for name in module.__all__}",
+            "assert set(ivporacle.__all__) == public | set(ivporacle._CLI_NAMES) | {'__version__'}",
+            "assert len(ivporacle.__all__) == len(set(ivporacle.__all__))",
+            "assert not hasattr(ivporacle, 'quantum_reference')",
             "names = dir(ivporacle)",
             "assert all(getattr(ivporacle, name) is not None and name in names for name in ivporacle.__all__)",
             "assert 'ivporacle.cli' in sys.modules and ivporacle.cli is sys.modules['ivporacle.cli']",
+            "assert set(ivporacle._CLI_NAMES) == set(ivporacle.cli.__all__) - {'main'}",
             "scope = {}",
             "exec('from ivporacle import *', scope)",
             "assert all(scope[name] is getattr(ivporacle, name) for name in ivporacle.__all__)",

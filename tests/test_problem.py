@@ -242,15 +242,23 @@ class TestEvalPartial:
             eval_partial(p, np.array([1.0]), 0, (2,))
 
     def test_component_range_checked(self):
-        p = catalog("scalar-exponential")
-        with pytest.raises(ContractViolationError):
-            eval_partial(p, np.array([1.0]), 1, (0,))
+        p = catalog("logistic", r=2)
+        for component in (1, -1, 0.5, True, "0", None):
+            with pytest.raises(ContractViolationError):
+                eval_partial(p, np.array([0.3]), component, (0,))
 
-    @pytest.mark.parametrize("alpha", [(0, 0), (-1,)])
+    # at r = 2 a truncated alpha entry would name a partial the problem serves
+    @pytest.mark.parametrize("alpha", [(0, 0), (-1,), (1.5,), ("1",), (True,), 1, None, "1",
+                                       np.array(1), np.array([[1]])])
     def test_malformed_alpha_rejected(self, alpha):
-        p = catalog("scalar-exponential")
+        p = catalog("logistic", r=2)
         with pytest.raises(ContractViolationError):
-            eval_partial(p, np.array([1.0]), 0, alpha)
+            eval_partial(p, np.array([0.3]), 0, alpha)
+
+    def test_integer_array_alpha_accepted(self):
+        p = catalog("logistic", r=2)
+        y = np.array([0.3])
+        assert eval_partial(p, y, np.int64(0), np.array([2])) == eval_partial(p, y, 0, [2]) == -2.0
 
     def test_nonfinite_point_rejected(self):
         p = catalog("scalar-exponential")
@@ -475,6 +483,9 @@ class TestCatalog:
         ("logistic", dict(eta=Fraction(1, 2)), ContractViolationError),
         ("logistic", dict(eta=np.inf), DomainError),
         ("logistic", dict(interval=(np.nan, 1.0)), DomainError),
+        (None, {}, ContractViolationError),
+        (3, {}, ContractViolationError),
+        (["logistic"], {}, ContractViolationError),
     ])
     def test_bad_request_raises_typed_error(self, name, kwargs, error):
         with pytest.raises(error):

@@ -26,7 +26,6 @@ from ivporacle import (
     integrate_quantum_sim,
     integrate_randomized,
     integrate_reference,
-    quantum_reference,
     repetitions_for,
     solve,
 )
@@ -126,7 +125,7 @@ class TestEstimateAndConfigContracts:
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
         eps1 = 1e-2
         cfg = OracleConfig(eps1=eps1, smoothness=(1, 1.0), seed=3)
-        ref = quantum_reference(g)
+        ref = integrate_reference(g)
         det = integrate_deterministic(g, cfg)
         rand = integrate_randomized(g, cfg)
         quant = integrate_quantum_sim(cfg, reference=ref)
@@ -471,7 +470,7 @@ class TestQuantumSimOracle:
 
     def test_zero_integrand_reference_is_zero(self):
         g = lambda u: 0.0 * u
-        est = integrate_quantum_sim(quant_cfg(1e-2, seed=4), reference=quantum_reference(g))
+        est = integrate_quantum_sim(quant_cfg(1e-2, seed=4), reference=integrate_reference(g))
         assert abs(est.value[0]) <= 10 * 1e-2
 
     def test_emission_matches_scalar_generator_draws(self):
@@ -506,8 +505,8 @@ class TestQuantumSimOracle:
 
     def test_seed_determinism(self):
         g = lambda u: u ** 2
-        a = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
-        b = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=quantum_reference(g))
+        a = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=integrate_reference(g))
+        b = integrate_quantum_sim(quant_cfg(1e-2, seed=8), reference=integrate_reference(g))
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_components_draw_independently(self, rng):
@@ -559,7 +558,7 @@ def on_integrand(oracle, g):
     """``oracle`` as a function of ``(cfg, **kwargs)`` on ``g``; the simulator
     is given ``g``'s integral in place of ``g``."""
     if oracle is integrate_quantum_sim:
-        ref = quantum_reference(g)
+        ref = integrate_reference(g)
         return lambda cfg, **kwargs: oracle(cfg, reference=ref, **kwargs)
     return lambda cfg, **kwargs: oracle(g, cfg, **kwargs)
 
@@ -642,10 +641,10 @@ class TestReferenceQuadratures:
             with pytest.raises(ValueError):
                 cached[0] = 0.5
 
-    def test_quantum_reference_matches_independent_quadrature(self, rng):
+    def test_integrate_reference_matches_independent_quadrature(self, rng):
         g = make_kink_integrand(rng, 1, 1.0, dim=2)
-        np.testing.assert_allclose(quantum_reference(g), reference_integral(g), atol=1e-9)
-        np.testing.assert_allclose(quantum_reference(g), g.exact, atol=1e-9)
+        np.testing.assert_allclose(integrate_reference(g), reference_integral(g), atol=1e-9)
+        np.testing.assert_allclose(integrate_reference(g), g.exact, atol=1e-9)
 
 
 class TestBoostMedian:

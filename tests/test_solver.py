@@ -39,7 +39,6 @@ from ivporacle import (
     integrate_reference,
     integrate_w_of_l,
     local_derivatives,
-    quantum_reference,
     repetitions_for,
     solve,
     sup_error,
@@ -85,7 +84,7 @@ def modified_euler(problem, cfg):
         elif cfg.mode == "randomized":
             a_i = boost_median(lambda j: integrate_randomized(g, oracle_cfg, rng=gen), k).value
         else:
-            ref = quantum_reference(g, tol=reference_tol(h ** (-rho), f0))
+            ref = integrate_reference(g, tol=reference_tol(h ** (-rho), f0))
             a_i = boost_median(
                 lambda j: integrate_quantum_sim(oracle_cfg, reference=ref, rng=gen), k).value
         y = y + f0 * (h ** 1 / 1) + h ** (1.0 + rho) * a_i
@@ -119,7 +118,7 @@ def per_repetition_stepper(problem, cfg):
         if cfg.mode == "randomized":
             run = lambda j: integrate_randomized(g, oracle_cfg, rng=gen)
         else:
-            ref = quantum_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
+            ref = integrate_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
             run = lambda j: integrate_quantum_sim(oracle_cfg, reference=ref, rng=gen)
         est = boost_median(run, k)
         ledger.charge_queries(est.queries)
