@@ -83,6 +83,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _built(cls, **fields):
+    """An instance of the value class ``cls`` holding ``fields`` unchecked, in one write: for
+    fields the package has just made, arrays fresh and read-only, as the checks would leave them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class IntegralEstimate:
     """One oracle output: the estimate and its price.
@@ -185,21 +193,10 @@ def _panel_nodes(panels: int | tuple[int, ...], q: int) -> np.ndarray:
     return nodes
 
 
-def _panel_values(g, panels: tuple[int, ...], q: int, samples: Optional[np.ndarray] = None) -> list:
-    """One call of ``g`` on the panel nodes of each count in ``panels``, then at ``samples``:
-    a (dim, count, q) array per count, then the samples' (dim, m) values."""
-    nodes = _panel_nodes(panels, q)
-    vals = _eval(g, nodes if samples is None else np.concatenate((nodes, samples)))
-    parts, start = [], 0
-    for count in panels:
-        parts.append(vals[:, start:start + count * q].reshape(len(vals), count, q))
-        start += count * q
-    return parts + [vals[:, start:]]
-
-
-def _gauss_sum(vals: np.ndarray) -> np.ndarray:
-    """The composite Gauss estimate of ``int_0^1`` from (dim, panels, q) panel values."""
-    return _einsum("dpq,q->d", vals, _gauss_rule(vals.shape[2])[1]) / vals.shape[1]
+def _gauss_sum(vals: np.ndarray, panels: int) -> np.ndarray:
+    """The composite Gauss estimate of ``int_0^1`` from (dim, panels * q) values at the panel nodes."""
+    q = vals.shape[1] // panels
+    return _einsum("dpq,q->d", vals.reshape(len(vals), panels, q), _gauss_rule(q)[1]) / panels
 
 
 #: The reference quadrature's default tolerance, and its last level's panels.
@@ -217,11 +214,11 @@ def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     16-panel levels together, and once for each later level.
     """
     check_real("tol", tol, 0, math.inf)
-    coarse, fine, _ = _panel_values(g, (8, 16), 16)
-    prev, cur, panels = _gauss_sum(coarse), _gauss_sum(fine), 16
+    both = _eval(g, _panel_nodes((8, 16), 16))
+    prev, cur, panels = _gauss_sum(both[:, :8 * 16], 8), _gauss_sum(both[:, 8 * 16:], 16), 16
     while not np.maximum.reduce(np.abs(cur - prev)) <= tol and panels < REFERENCE_MAX_PANELS:
         panels *= 2
-        prev, cur = cur, _gauss_sum(_panel_values(g, (panels,), 16)[0])
+        prev, cur = cur, _gauss_sum(_eval(g, _panel_nodes(panels, 16)), panels)
     return cur
 
 
@@ -241,9 +238,7 @@ def integrate_deterministic(g, cfg: OracleConfig) -> IntegralEstimate:
     q = r + 1
     budget = _budget(cfg, 0.0)
     panels = max(1, budget // q)
-    value = _gauss_sum(_panel_values(g, (panels,), q)[0])
-    value.setflags(write=False)  # fresh, so IntegralEstimate keeps it
-    return IntegralEstimate(value=value, queries=panels * q)
+    return _emit(_gauss_sum(_eval(g, _panel_nodes(panels, q)), panels), panels * q)
 
 
 def _runs(cfg: OracleConfig, rng, k: Optional[int]) -> tuple[np.random.Generator, int]:
@@ -252,10 +247,10 @@ def _runs(cfg: OracleConfig, rng, k: Optional[int]) -> tuple[np.random.Generator
     return (np.random.default_rng(cfg.seed) if rng is None else rng), k
 
 
-def _emit(values: np.ndarray, per_call: int, k: Optional[int]) -> IntegralEstimate:
-    """One run's estimate, or the batch of ``(k, dim)`` runs charged ``k`` calls."""
-    values.setflags(write=False)  # fresh, so IntegralEstimate keeps a batch without a copy
-    return IntegralEstimate(value=values[0] if k is None else values, queries=len(values) * per_call)
+def _emit(value: np.ndarray, queries: int) -> IntegralEstimate:
+    """The estimate of a fresh float array an oracle made, frozen, and its ``int`` price."""
+    value.setflags(write=False)
+    return _built(IntegralEstimate, value=value, queries=queries)
 
 
 def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator] = None,
@@ -282,15 +277,17 @@ def integrate_randomized(g, cfg: OracleConfig, rng: Optional[np.random.Generator
     nsamples = max(1, budget - panels * q)
 
     u = rng.random((runs, nsamples)).reshape(-1)
-    vals, at_u = _panel_values(g, (panels,), q, u)
-    det_part = _gauss_sum(vals)
+    vals = _eval(g, np.concatenate((_panel_nodes(panels, q), u)))
+    at_nodes, at_u = vals[:, :panels * q], vals[:, panels * q:]
+    det_part = _gauss_sum(at_nodes, panels)
     scaled = u * panels
     idx = np.minimum(scaled.astype(int), panels - 1)
     xi = scaled - idx
-    coeffs = _einsum("pq,dkq->dkp", _vandermonde_inv(q), vals)
-    resid = at_u - horner(coeffs[:, idx, :].transpose(2, 0, 1), xi)
+    coeffs = _einsum("pq,dkq->dkp", _vandermonde_inv(q), at_nodes.reshape(len(vals), panels, q))
+    resid = at_u - horner(coeffs.transpose(2, 0, 1).take(idx, axis=2), xi)  # (q, dim, m) rows, contiguous
     residual_means = np.add.reduce(resid.reshape(resid.shape[0], runs, nsamples), axis=2) / nsamples
-    return _emit(det_part + residual_means.T, panels * q + nsamples, k)
+    return _emit(det_part + (residual_means[:, 0] if k is None else residual_means.T),
+                 runs * (panels * q + nsamples))
 
 
 def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
@@ -319,7 +316,7 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     # Noise is computed as ``Generator.uniform(lo, hi)`` does it, ``lo + (hi - lo) * random()``.
     magnitude = eps + (10.0 * eps - eps) * unit
     noise = np.where(band < 0.75, -eps + (eps - -eps) * unit, np.where(sign < 0.5, magnitude, -magnitude))
-    return _emit(reference + noise, _budget(cfg, 1.0), k)
+    return _emit(reference + (noise[0] if k is None else noise), runs * _budget(cfg, 1.0))
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
@@ -354,11 +351,11 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     s = batch.value.copy(order="K")
     s.partition([m, -1] if k % 2 else [m - 1, m, -1], axis=0)
     median = 0.0 + s[m] if k % 2 else (0.0 + s[m - 1] + s[m]) / 2
-    nan = np.isnan(s[-1])
-    if nan.any():
-        median = np.where(nan, s[-1], median)
-    median.setflags(write=False)  # fresh, so IntegralEstimate keeps it
-    return IntegralEstimate(value=median, queries=batch.queries)
+    if math.isnan(np.maximum.reduce(s[-1], axis=None, initial=-math.inf)):  # maximum keeps a NaN
+        median = np.where(np.isnan(s[-1]), s[-1], median)
+    if s.ndim == 1:  # k runs of one component: a scalar, which IntegralEstimate makes (1,)
+        return IntegralEstimate(value=median, queries=batch.queries)
+    return _emit(median, batch.queries)
 
 
 def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:

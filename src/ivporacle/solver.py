@@ -36,6 +36,7 @@ from .quad import (  # noqa: F401
     REFERENCE_TOL,
     IntegralEstimate,
     OracleConfig,
+    _built,
     boost_median,
     derive_seed,
     horner,
@@ -49,6 +50,7 @@ from .quad import (  # noqa: F401
 from .taylor import (
     ResidualIntegrand,
     VecPolynomial,
+    _residual_scale,
     build_l,
     build_w,
     integrate_w_of_l,
@@ -205,14 +207,16 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     ``1e6 (1 + |eta|)``, and :class:`StationaryStartError` if ``f(eta) = 0``
     (the standing assumption, read off the first step's Taylor data ``w_0``,
     so the check costs no evaluation).  Both carry the ledger charged so far.
-    An ``h`` whose ``h^(r+rho+1)`` overflows raises :class:`DomainError` first.
+    An ``h`` whose ``h^(r+rho+1)`` or ``h^-(r+rho)`` overflows raises
+    :class:`DomainError` first, before any step charges anything.
     """
     a, b = problem.interval
     n = cfg.n
-    h = (b - a) / n
+    h = check_real("h", (b - a) / n, 0, np.inf)
     r = problem.smoothness.r
     rho = problem.smoothness.rho
-    scale = step_power(h, r + rho + 1.0)  # before any step: an unusable h charges nothing
+    scale = step_power(h, r + rho + 1.0)
+    residual_scale = _residual_scale(problem, h)
     ledger = CostLedger()
     mode = _MODES[cfg.mode]
     oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed,
@@ -232,7 +236,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
             raise StationaryStartError(ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
         step_integral = integrate_w_of_l(w_i, l_i, h)
-        g_i = ResidualIntegrand(problem, w_i, l_i, h)
+        g_i = _built(ResidualIntegrand, problem=problem, w=w_i, l=l_i, h=h, scale=residual_scale)
         a_i = mode.correct(g_i, i, run)
 
         y = y + step_integral + scale * a_i

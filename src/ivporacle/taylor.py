@@ -28,7 +28,7 @@ from .errors import ContractViolationError, check_count, check_real, step_power
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
-from .quad import _einsum, _frozen, _gauss_rule, horner
+from .quad import _built, _einsum, _frozen, _gauss_rule, horner
 
 __all__ = [
     "VecPolynomial",
@@ -49,6 +49,13 @@ def _factorials(q: int) -> np.ndarray:
     return row
 
 
+def _check_coeffs(c: np.ndarray) -> np.ndarray:
+    """``c`` itself, if it is a ``(degree + 1, dim)`` array with no empty axis."""
+    if c.ndim != 2 or 0 in c.shape:
+        raise ContractViolationError(f"coeffs must be a (degree+1, dim) array, got shape {c.shape}")
+    return c
+
+
 @dataclasses.dataclass(frozen=True)
 class VecPolynomial:
     """Vector-valued polynomial in the shifted basis ``(t - center)^k``.
@@ -61,10 +68,7 @@ class VecPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 2 or 0 in c.shape:
-            raise ContractViolationError(f"coeffs must be a (degree+1, dim) array, got shape {c.shape}")
-        object.__setattr__(self, "coeffs", _frozen(c))  # build_l's frozen array is kept
+        object.__setattr__(self, "coeffs", _frozen(_check_coeffs(np.asarray(self.coeffs, dtype=float))))
         object.__setattr__(self, "center", float(self.center))
 
     @property
@@ -129,10 +133,14 @@ def build_l(derivs: Sequence[np.ndarray], x_i: float) -> VecPolynomial:
     coeffs = np.array(derivs, dtype=float)  # a fresh array: divided in place, then frozen
     if coeffs.ndim == 1:  # scalar derivatives: dim 1
         coeffs = coeffs[:, None]
-    # row k over k!, whatever the shape, so a bad one (or none) meets VecPolynomial's check
-    np.divide(coeffs.T, _factorials(len(coeffs)), out=coeffs.T)
-    coeffs.setflags(write=False)  # so VecPolynomial keeps it without a copy
-    return VecPolynomial(center=float(x_i), coeffs=coeffs)
+    np.divide(coeffs.T, _factorials(len(_check_coeffs(coeffs))), out=coeffs.T)
+    coeffs.setflags(write=False)  # so _frozen keeps it, and copies only the scalars' view
+    return _built(VecPolynomial, center=float(x_i), coeffs=_frozen(coeffs))
+
+
+def _map_center(y) -> np.ndarray:
+    """A Taylor map's center: ``y`` as a float array, kept if read-only and its own (solve's state)."""
+    return _frozen(np.asarray(y, dtype=float))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,7 +156,7 @@ class TaylorMap:
     tensors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(np.asarray(self.center, dtype=float)))  # solve's y is kept
+        object.__setattr__(self, "center", _map_center(self.center))
 
     @property
     def dim(self) -> int:
@@ -207,7 +215,7 @@ def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = N
         raise ContractViolationError(f"jet(y, {r}) must return arrays of shapes {want}, got {got}")
     if ledger is not None:
         ledger.charge_classical(count)
-    return TaylorMap(center=y, tensors=tuple(tensors))
+    return _built(TaylorMap, center=_map_center(y), tensors=tuple(tensors))
 
 
 def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
@@ -220,6 +228,11 @@ def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
     check_real("h", h, 0, math.inf)
     nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
     return h * (w._batch(horner(l.coeffs[:, :, None], nodes * h)) @ weights)
+
+
+def _residual_scale(problem: IVPProblem, h: float) -> float:
+    """The residual's scale ``h^-(r + rho)``; :class:`DomainError` if it overflows."""
+    return step_power(h, -problem.smoothness.order)
 
 
 @dataclasses.dataclass
@@ -239,7 +252,7 @@ class ResidualIntegrand:
 
     def __post_init__(self):
         self.h = check_real("h", self.h, 0, math.inf)
-        self.scale = step_power(self.h, -self.problem.smoothness.order)
+        self.scale = _residual_scale(self.problem, self.h)
 
     @property
     def dim(self) -> int:

@@ -23,6 +23,26 @@ from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
+def assert_as_public(obj, *arguments):
+    """``obj``, a value object the package built unchecked, equals what its class's public
+    constructor makes of the same fields, field by field and bit for bit; its arrays are
+    read-only, own their data and share no memory with any of ``arguments``."""
+    fields = vars(obj)
+    public = vars(type(obj)(**{f.name: fields[f.name] for f in dataclasses.fields(obj)}))
+    assert list(fields) == list(public)
+    for name, value in fields.items():
+        kept = public[name]
+        assert type(value) is type(kept), name
+        if isinstance(value, np.ndarray):
+            assert (value.dtype, value.shape, value.tobytes()) == (kept.dtype, kept.shape, kept.tobytes()), name
+            assert not value.flags.writeable and value.base is None, name
+            assert not any(np.shares_memory(value, a) for a in arguments), name
+        elif isinstance(value, float):
+            assert value.hex() == kept.hex(), name
+        else:
+            assert value is kept or value == kept, name
+
+
 def reference_integral(g, nodes=10_000):
     """Composite 16-point Gauss on [0,1] with about `nodes` total points."""
     panels = max(1, nodes // 16)

@@ -33,7 +33,7 @@ from ivporacle import quad, solver, taylor
 from ivporacle.quad import (REFERENCE_MAX_PANELS, REFERENCE_TOL, _budget, _eval, _gauss_rule, _panel_nodes,
                             _vandermonde_inv, horner, median_of)
 from ivporacle.taylor import ResidualIntegrand, build_l, build_w, local_derivatives
-from conftest import make_kink_integrand, reference_integral
+from conftest import assert_as_public, make_kink_integrand, reference_integral
 
 
 def det_cfg(eps1, r=0, rho=1.0, cc=4.0):
@@ -552,6 +552,23 @@ def test_quantum_sim_matches_old_loop_bit_for_bit():
         assert got.value.tobytes() == want.tobytes(), (k, dim, eps1, reference)
         one = integrate_quantum_sim(cfg, reference, rng=np.random.default_rng(seed))
         assert one.value.tobytes() == want[0].tobytes()
+    # a single run on the config's own generator
+    cfg = quant_cfg(1e-2, seed=99)
+    want = _old_integrate_quantum_sim(cfg, [0.25, -1.0], np.random.default_rng(99), 1)
+    assert integrate_quantum_sim(cfg, [0.25, -1.0]).value.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [None, 1, 5])
+def test_oracle_estimates_match_the_public_constructor(k):
+    """Each oracle builds its estimate unchecked, single run included: the same one the
+    public constructor makes, read-only, owning its data, sharing none with its inputs."""
+    g = _catalog_residual("integration-reduction", 2, 0.3)
+    reference = integrate_reference(g)
+    for est in (integrate_randomized(g, rand_cfg(1e-2, r=2), rng=np.random.default_rng(3), k=k),
+                integrate_quantum_sim(quant_cfg(1e-2, r=2), reference, rng=np.random.default_rng(3), k=k)):
+        assert est.value.shape == ((2,) if k is None else (k, 2))
+        assert_as_public(est, reference)
+    assert_as_public(integrate_deterministic(g, det_cfg(1e-2, r=2)))
 
 
 def on_integrand(oracle, g):
@@ -690,6 +707,17 @@ class TestBoostMedian:
                     got = median_of(IntegralEstimate(value=value, queries=k))
                 assert got.value.tobytes() == want.tobytes(), value
                 assert got.queries == k
+        # one component's runs as a 1-d batch: its (1,) median
+        value = np.array([0.5, np.nan, 2.0, -1.0])
+        want = np.median(value[:, None], axis=0)
+        assert median_of(IntegralEstimate(value=value, queries=4)).value.tobytes() == want.tobytes()
+
+    def test_median_of_matches_the_public_constructor(self):
+        gen = np.random.default_rng(5)
+        for value in (gen.normal(size=(5, 2)), np.array([[1.0, np.nan], [3.0, 0.0]]), gen.normal(size=4),
+                      gen.normal(size=(3, 2, 2))):
+            batch = IntegralEstimate(value=value, queries=4)
+            assert_as_public(median_of(batch), value, batch.value)
 
     def test_runs_receive_their_index(self):
         seen = []

@@ -20,10 +20,12 @@ from ivporacle import (
     CostLedger,
     DivergenceError,
     DomainError,
+    IntegralEstimate,
     MODES,
     OracleConfig,
     ResidualIntegrand,
     SolveConfig,
+    TaylorMap,
     Trajectory,
     VecPolynomial,
     boost_median,
@@ -46,7 +48,7 @@ from ivporacle import (
 from ivporacle import solver
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.solver import reference_tol
-from conftest import per_partial_jet, per_partial_oracle
+from conftest import assert_as_public, per_partial_jet, per_partial_oracle
 
 
 def modified_euler(problem, cfg):
@@ -248,12 +250,14 @@ class TestUnusableStep:
     """A step size whose power overflows a float is a DomainError, not a bare OverflowError."""
 
     def test_solve_refuses_it_before_any_step(self, monkeypatch):
-        p = catalog("scalar-exponential", r=3, interval=(0.0, 1e100))
         fetched = []
         monkeypatch.setattr(solver, "build_w", lambda *args: fetched.append(args))
-        for mode in MODES:
-            with pytest.raises(DomainError, match="h = 1e\\+100"):
-                solve(p, SolveConfig(n=1, mode=mode))
+        # h^(r+rho+1) overflows, then the residual's scale h^-(r+rho)
+        for p, match in ((catalog("scalar-exponential", r=3, interval=(0.0, 1e100)), "h = 1e\\+100"),
+                         (catalog("logistic", r=1, interval=(0.0, 1e-160)), "h = 1e-160")):
+            for mode in MODES:
+                with pytest.raises(DomainError, match=match):
+                    solve(p, SolveConfig(n=1, mode=mode))
         assert fetched == []
 
     def test_residual_scale_overflow(self):
@@ -267,6 +271,41 @@ class TestUnusableStep:
         # an h whose powers stay finite still steps, a subnormal h^(r+rho+1) included
         assert ResidualIntegrand(p, w, l, 1e-150).scale == 1e-150 ** -2.0
         assert solve(catalog("scalar-exponential", r=0, interval=(0.0, 1e-160)), SolveConfig(n=1)).n == 1
+
+
+class TestUncheckedStep:
+    """A step builds its value objects unchecked, as the public constructors would."""
+
+    def test_step_residual_matches_the_public_constructor(self, monkeypatch):
+        seen = []
+        for name, mode in solver._MODES.items():
+            watch = lambda g, i, run, correct=mode.correct: seen.append(g) or correct(g, i, run)
+            monkeypatch.setitem(solver._MODES, name, mode._replace(correct=watch))
+        p = catalog("integration-reduction", r=2)
+        for mode in MODES:
+            seen.clear()
+            solve(p, SolveConfig(n=3, mode=mode))
+            assert len(seen) == 3
+            for g in seen:
+                assert_as_public(g)
+
+    def test_solve_runs_no_value_object_check(self, monkeypatch):
+        """Guards the saving: no step re-checks a map, piece, residual or estimate."""
+        calls = []
+        for cls, attr in ((VecPolynomial, "__post_init__"), (TaylorMap, "__post_init__"),
+                          (ResidualIntegrand, "__post_init__"), (IntegralEstimate, "__init__")):
+            def counted(self, *args, original=getattr(cls, attr), **kwargs):
+                calls.append(type(self).__name__)
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, attr, counted)
+        VecPolynomial(0.0, [[1.0]])
+        IntegralEstimate(0.5, 1)
+        assert calls == ["VecPolynomial", "IntegralEstimate"]  # the counters count
+        calls.clear()
+        for name, r in (("logistic", 1), ("integration-reduction", 3)):
+            for mode in MODES:
+                solve(catalog(name, r=r), SolveConfig(n=4, mode=mode))
+        assert calls == []
 
 
 class TestEvalTrajectory:

@@ -29,7 +29,7 @@ from ivporacle import (
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.quad import _gauss_rule
 from ivporacle.taylor import _factorials
-from conftest import per_partial_jet, per_partial_oracle, reference_integral
+from conftest import assert_as_public, per_partial_jet, per_partial_oracle, reference_integral
 
 
 class TestVecPolynomial:
@@ -136,8 +136,23 @@ class TestBuildL:
         np.testing.assert_array_equal(l.coeffs, np.zeros((3, 2)))
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractViolationError):
-            build_l([], x_i=0.0)
+        for derivs in ([], [np.zeros((2, 2)), np.zeros((2, 2))]):  # none, and matrices
+            with pytest.raises(ContractViolationError, match="degree\\+1, dim"):
+                build_l(derivs, x_i=0.0)
+
+
+def test_build_w_and_build_l_match_their_public_constructors():
+    """Both build their result unchecked: the object the public constructor
+    makes, read-only, sharing no memory with the caller's arrays."""
+    for name, r in [("logistic", 2), ("integration-reduction", 3), ("scalar-exponential", 0)]:
+        p = catalog(name, r=r)
+        y = p.eta + 0.05  # writable, so the map copies it
+        w = build_w(p, y)
+        assert_as_public(w, y)
+        derivs = local_derivatives(w, r + 1)
+        assert_as_public(build_l(derivs, 0.25), *derivs)
+    scalars = [1.0, np.float64(2.0), np.array(6.0)]
+    assert_as_public(build_l(scalars, np.float32(0.5)), scalars[2])
 
 
 class TestBuildW:
