@@ -138,8 +138,13 @@ class OracleConfig:
 
 
 def _eval(g, u: np.ndarray) -> np.ndarray:
-    """Evaluate an integrand on a batch, normalizing the result to (dim, m)."""
-    out = np.asarray(g(np.asarray(u, dtype=float)), dtype=float)
+    """Evaluate an integrand on a batch of ``m`` nodes, normalizing the result to (dim, m);
+    a result that is neither ``(m,)`` nor ``(dim, m)`` is a :class:`ContractViolationError`."""
+    u = np.asarray(u, dtype=float)
+    out = np.asarray(g(u), dtype=float)
+    if out.ndim > 2 or out.shape[-1:] != u.shape:
+        raise ContractViolationError(f"an integrand must map {len(u)} nodes to shape ({len(u)},) "
+                                     f"or (dim, {len(u)}), got {out.shape}")
     if out.ndim == 1:
         out = out[None, :]
     return out
@@ -345,8 +350,11 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     for odd ``k`` and the mean of the middle two for even ``k``, both summed
     from ``+0.0`` as ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.
     A column holding a NaN gets the NaN its last partitioned entry holds.
+    An empty batch, ``k = 0``, is a :class:`ContractViolationError`.
     """
     k = len(batch.value)
+    if k == 0:
+        raise ContractViolationError("median_of needs a batch of at least one run, got k = 0")
     m = k // 2
     s = batch.value.copy(order="K")
     s.partition([m, -1] if k % 2 else [m - 1, m, -1], axis=0)

@@ -5,11 +5,12 @@ One solve on a uniform grid ``x_i = a + i h`` repeats, from the current state
 
 1. fetch ``f`` and its partials at ``y_i`` once into the Taylor map ``w_i``,
    and derive from it the local Taylor piece ``l_i`` (degree ``r+1``);
-2. integrate ``w_i(l_i(t))`` over the step exactly (a Gauss rule exact for
-   its degree);
-3. estimate ``A_i ~ int_0^1 g_i(u) du`` for the scaled residual ``g_i`` with
+2. estimate ``A_i ~ int_0^1 g_i(u) du`` for the scaled residual ``g_i`` with
    the mode's integral oracle at per-step accuracy ``eps1 = h``, boosted by a
    componentwise median for the probabilistic oracles;
+3. read ``int w_i(l_i(t)) dt`` over the step, which each evaluation of
+   ``g_i`` computes exactly (a Gauss rule exact for its degree) in the same
+   pass over ``l_i`` and ``w_i``, so every corrector evaluates ``g_i``;
 4. update ``y_{i+1} = y_i + int w_i(l_i) + h^(r+rho+1) A_i``.
 
 The continuous output is the piecewise polynomial made of the ``l_i``; its
@@ -27,10 +28,10 @@ import numpy as np
 
 from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
                      check_count, check_real, check_seed, is_real, step_power)
-# eval_rhs, boost_median and derive_seed are unused here, and a quantum_sim step
-# calls integrate_reference by a second name, quantum_reference (below); they
-# stay module attributes because the benchmark's tracer (perfbench/spans.py)
-# patches them by name.
+# eval_rhs, boost_median, derive_seed and integrate_w_of_l are unused here, and a
+# quantum_sim step calls integrate_reference by a second name, quantum_reference
+# (below); they stay module attributes because the benchmark's tracer
+# (perfbench/spans.py) patches them by name.
 from .problem import CostLedger, IVPProblem, Reference, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
     REFERENCE_TOL,
@@ -47,7 +48,7 @@ from .quad import (  # noqa: F401
     median_of,
     repetitions_for,
 )
-from .taylor import (
+from .taylor import (  # noqa: F401
     ResidualIntegrand,
     VecPolynomial,
     _residual_scale,
@@ -235,11 +236,10 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
         if i == 0 and np.max(np.abs(w_i.tensors[0])) == 0.0:
             raise StationaryStartError(ledger)
         l_i = build_l(local_derivatives(w_i, r + 1), x_i)
-        step_integral = integrate_w_of_l(w_i, l_i, h)
         g_i = _built(ResidualIntegrand, problem=problem, w=w_i, l=l_i, h=h, scale=residual_scale)
         a_i = mode.correct(g_i, i, run)
 
-        y = y + step_integral + scale * a_i
+        y = y + g_i.step_integral + scale * a_i
         y.setflags(write=False)  # so the next step's TaylorMap keeps it without a copy
         norm = np.maximum.reduce(np.abs(y))
         if not norm <= bound:  # a NaN or infinite state fails it too

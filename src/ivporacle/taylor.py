@@ -6,10 +6,11 @@ Per step the solver builds, from the problem's jet at the current state
 * ``w`` -- the order ``r`` Taylor expansion of ``f`` around ``y_i``,
 * ``l`` -- the degree ``r+1`` Taylor polynomial of the local solution through
   ``(x_i, y_i)``, with its derivatives read off ``w``,
-* the exact value of ``int w(l(t)) dt`` over the step (a Gauss rule exact
-  for its degree, no sampling), and
 * the scaled residual ``g(u) = h^-(r+rho) * (f(l(x_i+u h)) - w(l(x_i+u h)))``
-  on ``[0, 1]``, whose integral the oracles estimate.
+  on ``[0, 1]``, whose integral the oracles estimate, and
+* the exact value of ``int w(l(t)) dt`` over the step (a Gauss rule exact
+  for its degree, no sampling), which each evaluation of ``g`` reads off the
+  same pass over ``l`` and ``w``.
 
 All polynomial coefficients live in the shifted basis ``(t - x_i)^k`` so that
 evaluation at the base point is exact.
@@ -82,6 +83,8 @@ class VecPolynomial:
     def eval_offset(self, s):
         """Evaluate at offset ``s = t - center`` (scalar or 1-d array)."""
         s = np.asarray(s, dtype=float)
+        if s.ndim > 1:
+            raise ContractViolationError(f"offsets must be a scalar or a 1-d array, got shape {s.shape}")
         acc = horner(self.coeffs[:, :, None], s.reshape(-1))
         return acc[:, 0] if s.ndim == 0 else acc
 
@@ -218,15 +221,20 @@ def build_w(problem: IVPProblem, y: np.ndarray, ledger: Optional[CostLedger] = N
     return _built(TaylorMap, center=_map_center(y), tensors=tuple(tensors))
 
 
+def _exact_rule(w: TaylorMap, l: VecPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule on ``[0, 1]`` exact for ``w(l(t))``, a polynomial of degree
+    ``w.order * l.degree``: ``w.order * l.degree // 2 + 1`` nodes."""
+    return _gauss_rule(w.order * l.degree // 2 + 1)
+
+
 def integrate_w_of_l(w: TaylorMap, l: VecPolynomial, h: float) -> np.ndarray:
     """``int w(l(t)) dt`` over the step of length ``h`` from ``l.center``.
 
-    ``w(l(t))`` is a polynomial of degree ``w.order * l.degree``, so the
-    Gauss rule with ``w.order * l.degree // 2 + 1`` nodes integrates it
-    exactly up to rounding; no right-hand-side evaluation is made.
+    The Gauss rule :func:`_exact_rule` integrates ``w(l(t))`` exactly up to
+    rounding; no right-hand-side evaluation is made.
     """
     check_real("h", h, 0, math.inf)
-    nodes, weights = _gauss_rule(w.order * l.degree // 2 + 1)
+    nodes, weights = _exact_rule(w, l)
     return h * (w._batch(horner(l.coeffs[:, :, None], nodes * h)) @ weights)
 
 
@@ -243,6 +251,13 @@ class ResidualIntegrand:
     ``x_i = l.center`` and ``scale = h^-(r + rho)``; ``h`` is stored as a
     ``float``.  Evaluating it charges nothing: the oracle that integrates it
     reports its price, and the solver charges that once.
+
+    An evaluation makes one pass over ``l`` and ``w``, at the offsets ``u``
+    followed by the nodes of the Gauss rule exact for ``w(l(t))``, and calls
+    ``f`` at ``u``'s points only.  From the nodes' values it keeps
+    ``step_integral``, the exact ``int w(l(t)) dt`` over the step, read-only
+    and equal bit for bit to :func:`integrate_w_of_l`'s; the solver reads it
+    after its oracle has evaluated ``g``.
     """
 
     problem: IVPProblem
@@ -259,9 +274,17 @@ class ResidualIntegrand:
         return self.problem.dim
 
     def __call__(self, u):
-        s = np.asarray(u, dtype=float) * self.h
-        pts = horner(self.l.coeffs[:, :, None], s.reshape(-1))  # the piece at x_i + u h, unchecked
-        gap = eval_rhs(self.problem, pts)  # a fresh array, reused for the result
-        gap -= self.w._batch(pts)
+        u = np.asarray(u, dtype=float)
+        m = u.size
+        nodes, weights = _exact_rule(self.w, self.l)
+        # the piece at x_i + u h and at the exact rule's nodes, then w there, unchecked
+        pts = horner(self.l.coeffs[:, :, None], np.concatenate((u.reshape(-1), nodes)) * self.h)
+        w_l = self.w._batch(pts)
+        integral = self.h * (w_l[:, m:] @ weights)
+        integral.setflags(write=False)
+        self.step_integral = integral
+        # f gets a C-contiguous batch: a slice of dim 1's single row is one, a wider one is copied
+        gap = eval_rhs(self.problem, pts[:, :m] if len(pts) == 1 else pts[:, :m].copy())
+        gap -= w_l[:, :m]  # gap is a fresh array, reused for the result
         gap *= self.scale
-        return gap if s.ndim else gap[:, 0]
+        return gap if u.ndim else gap[:, 0]

@@ -23,12 +23,15 @@ from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
-def assert_as_public(obj, *arguments):
+def assert_as_public(obj, *arguments, public=None):
     """``obj``, a value object the package built unchecked, equals what its class's public
-    constructor makes of the same fields, field by field and bit for bit; its arrays are
-    read-only, own their data and share no memory with any of ``arguments``."""
+    constructor makes of the same fields, or ``public`` if given, field by field and bit for
+    bit; its arrays are read-only, own their data and share no memory with any of
+    ``arguments``."""
     fields = vars(obj)
-    public = vars(type(obj)(**{f.name: fields[f.name] for f in dataclasses.fields(obj)}))
+    if public is None:
+        public = type(obj)(**{f.name: fields[f.name] for f in dataclasses.fields(obj)})
+    public = vars(public)
     assert list(fields) == list(public)
     for name, value in fields.items():
         kept = public[name]

@@ -394,6 +394,33 @@ def test_oracles_call_the_integrand_once():
             assert counted.calls == 1
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda g: integrate_deterministic(g, det_cfg(0.1, r=1)),
+    lambda g: integrate_reference(g),
+    lambda g: integrate_randomized(g, rand_cfg(0.1, r=1), k=3),
+], ids=["deterministic", "reference", "randomized"])
+@pytest.mark.parametrize("make", [
+    lambda u: np.ones(3),
+    lambda u: np.float64(0.5),
+    lambda u: np.ones((2, len(u) + 1)),
+    lambda u: np.ones((1, 2, len(u))),
+], ids=["three-values", "scalar", "one-value-too-many", "3-d"])
+def test_oracles_refuse_an_integrand_result_of_the_wrong_shape(oracle, make):
+    """A result that is neither ``(m,)`` nor ``(dim, m)`` for the ``m`` nodes passed is a
+    ContractViolationError that names both shapes, not a reshape error deep inside."""
+    calls = []
+
+    def g(u):
+        out = make(u)
+        calls.append((len(u), np.shape(out)))
+        return out
+
+    with pytest.raises(ContractViolationError) as info:
+        oracle(g)
+    (m, got), = calls
+    assert f"map {m} nodes to shape ({m},) or (dim, {m}), got {got}" in str(info.value)
+
+
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", catalog_names())
 @pytest.mark.parametrize("mode", MODES)
@@ -685,6 +712,11 @@ class TestBoostMedian:
     def test_invalid_k(self, k):
         with pytest.raises(ContractViolationError):
             boost_median(lambda j: None, k)
+
+    @pytest.mark.parametrize("value", [np.zeros((0, 2)), np.zeros(0)])
+    def test_median_of_refuses_an_empty_batch(self, value):
+        with pytest.raises(ContractViolationError, match="k = 0"):
+            median_of(IntegralEstimate(value=value, queries=0))
 
     def test_median_of_equals_numpy_median(self):
         """Seeded fuzz against ``np.median``, the old body, kept as the

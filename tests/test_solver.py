@@ -7,6 +7,9 @@ variants allowed).  ``per_repetition_stepper`` covers the boosted modes at
 any r: it runs each of a step's k repetitions as its own single-call oracle,
 all drawing in turn from the step's ``Philox`` stream keyed by (seed, step),
 and the batched stepper must match it bit for bit and ledger for ledger.
+``public_stepper`` covers every mode at any r with the public step functions
+and the step integral from ``integrate_w_of_l``, which ``solve`` reads off
+its residual's evaluations instead.
 """
 
 import dataclasses
@@ -41,11 +44,12 @@ from ivporacle import (
     integrate_reference,
     integrate_w_of_l,
     local_derivatives,
+    median_of,
     repetitions_for,
     solve,
     sup_error,
 )
-from ivporacle import solver
+from ivporacle import solver, taylor
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.solver import reference_tol
 from conftest import assert_as_public, per_partial_jet, per_partial_oracle
@@ -277,6 +281,8 @@ class TestUncheckedStep:
     """A step builds its value objects unchecked, as the public constructors would."""
 
     def test_step_residual_matches_the_public_constructor(self, monkeypatch):
+        """After the corrector, the step's integrand holds the fields and the step
+        integral a public one holds after an evaluation at any offsets."""
         seen = []
         for name, mode in solver._MODES.items():
             watch = lambda g, i, run, correct=mode.correct: seen.append(g) or correct(g, i, run)
@@ -287,7 +293,9 @@ class TestUncheckedStep:
             solve(p, SolveConfig(n=3, mode=mode))
             assert len(seen) == 3
             for g in seen:
-                assert_as_public(g)
+                public = ResidualIntegrand(g.problem, g.w, g.l, g.h)
+                public(np.array([0.5]))
+                assert_as_public(g, public=public)
 
     def test_solve_runs_no_value_object_check(self, monkeypatch):
         """Guards the saving: no step re-checks a map, piece, residual or estimate."""
@@ -638,6 +646,91 @@ def test_batched_boosting_matches_per_repetition_runs(mode, name, r):
         traj = solve(p, cfg)
         np.testing.assert_array_equal(traj.endpoints, states)
         assert traj.ledger == ledger
+
+
+def public_stepper(problem, cfg):
+    """A solve from the public step functions: ``integrate_w_of_l`` for the
+    step integral, then the mode's oracle on the public ``ResidualIntegrand``,
+    charged by the documented rule.  Returns the endpoints, pieces and ledger."""
+    a, b = problem.interval
+    h = (b - a) / cfg.n
+    r, rho = problem.smoothness.r, problem.smoothness.rho
+    ledger = CostLedger()
+    oracle_cfg = OracleConfig(eps1=h, smoothness=(r, rho), seed=cfg.seed, cost_constant=cfg.cost_constant)
+    k = repetitions_for(cfg.delta, cfg.n, cfg.c)
+    y = problem.eta
+    states, pieces = [y], []
+    for i in range(cfg.n):
+        w_i = build_w(problem, y, ledger)
+        l_i = build_l(local_derivatives(w_i, r + 1), a + i * h)
+        step_integral = integrate_w_of_l(w_i, l_i, h)
+        g = ResidualIntegrand(problem, w_i, l_i, h)
+        if cfg.mode == "det_values":
+            est = integrate_deterministic(g, oracle_cfg)
+            ledger.charge_classical(est.queries)
+            a_i = est.value
+        elif cfg.mode == "det_exact":
+            ledger.charge_queries(g.dim)
+            a_i = integrate_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
+        else:
+            if cfg.mode == "randomized":
+                batch = integrate_randomized(g, oracle_cfg, rng=fresh_stream(cfg.seed, i), k=k)
+            else:
+                ref = integrate_reference(g, tol=reference_tol(g.scale, w_i.tensors[0]))
+                batch = integrate_quantum_sim(oracle_cfg, ref, rng=fresh_stream(cfg.seed, i), k=k)
+            ledger.charge_queries(batch.queries)
+            ledger.charge_repetitions(k)
+            a_i = median_of(batch).value
+        y = y + step_integral + h ** (r + rho + 1.0) * a_i
+        states.append(y)
+        pieces.append(l_i)
+    return np.array(states), pieces, ledger
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["logistic", "integration-reduction"])
+def test_solve_matches_a_loop_of_public_steps(mode, name):
+    """``solve``, whose step integral rides on the residual's evaluations,
+    against ``public_stepper``: same endpoints, pieces and ledger, bit for bit."""
+    for r in range(4):
+        p = catalog(name, r=r)
+        for cfg in (SolveConfig(n=8, mode=mode, seed=12345), SolveConfig(n=5, mode=mode, seed=1, delta=0.3)):
+            states, pieces, ledger = public_stepper(p, cfg)
+            traj = solve(p, cfg)
+            assert traj.endpoints.tobytes() == states.tobytes()
+            assert [(q.center.hex(), q.coeffs.tobytes()) for q in traj.pieces] == \
+                [(q.center.hex(), q.coeffs.tobytes()) for q in pieces]
+            assert traj.ledger == ledger
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_pass_over_the_step_polynomials_per_evaluation(monkeypatch, mode):
+    """Each evaluation of a step's residual makes one Horner pass over ``l_i`` and
+    one batch of ``w_i``, at the oracle's offsets and the exact rule's nodes
+    together; nothing else in a step evaluates them, and every step's
+    corrector evaluates its residual at least once."""
+    counts = {"horner": 0, "batch": 0}
+    evaluated_by = []  # the integrand of each evaluation, kept alive so their ids stay distinct
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def evaluated(g, u, original=ResidualIntegrand.__call__):
+        evaluated_by.append(g)
+        return original(g, u)
+
+    monkeypatch.setattr(taylor, "horner", counted("horner", taylor.horner))
+    monkeypatch.setattr(TaylorMap, "_batch", counted("batch", TaylorMap._batch))
+    monkeypatch.setattr(ResidualIntegrand, "__call__", evaluated)
+    for name, r in (("scalar-exponential", 0), ("logistic", 1), ("integration-reduction", 3)):
+        counts.update(horner=0, batch=0)
+        evaluated_by.clear()
+        solve(catalog(name, r=r), SolveConfig(n=8, mode=mode))
+        assert len({id(g) for g in evaluated_by}) == 8  # each step's integrand
+        assert counts == {"horner": len(evaluated_by), "batch": len(evaluated_by)}
 
 
 def fresh_stream(seed, i):

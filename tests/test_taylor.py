@@ -8,6 +8,7 @@ of f along the piece.  Everything else in the solver leans on that algebra.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ class TestVecPolynomial:
         batch = p.eval_offset(np.array([0.0, 1.0]))
         assert batch.shape == (1, 2)
         np.testing.assert_allclose(batch[:, 1], [4.5])
+
+    @pytest.mark.parametrize("s", [np.ones((2, 2)), np.ones((1, 3)), np.zeros((2, 1, 1))])
+    def test_eval_offset_refuses_offsets_of_more_than_one_dimension(self, s):
+        p = VecPolynomial(0.0, [[1.0], [2.0]])
+        with pytest.raises(ContractViolationError, match=re.escape(f"got shape {s.shape}")):
+            p.eval_offset(s)
+        with pytest.raises(ContractViolationError):
+            p(s)
 
     def test_degree_and_dim(self):
         p = VecPolynomial(center=0.0, coeffs=np.zeros((4, 3)))
@@ -529,7 +538,8 @@ def _checked_integrate_w_of_l(w, l, h):
 
 
 def _checked_residual_call(g, u):
-    pts = g.l.eval_offset(np.asarray(u, dtype=float) * g.h)
+    s = np.asarray(u, dtype=float) * g.h
+    pts = g.l.eval_offset(s.reshape(-1) if s.ndim > 1 else s)  # a 2-d u read flat, as the residual reads it
     gap = eval_rhs(g.problem, pts)
     gap -= _checked_map_call(g.w, pts)
     gap *= g.scale
@@ -589,6 +599,7 @@ def _step_kernels_agree(p, w, l, derivs, x_i):
             g = ResidualIntegrand(p, w, l, h)
             for u in (0.0, -0.0, 0.75, np.linspace(0.0, 1.0, 9), np.array([[0.5, 0.25]])):
                 assert _bits(g(u)) == _bits(_checked_residual_call(g, u))
+                assert _bits(g.step_integral) == _bits(_checked_integrate_w_of_l(w, l, h))
 
 
 @pytest.mark.parametrize("name", catalog_names() + tuple(f"integration-reduction:{key}" for key in _G_REGISTRY))
