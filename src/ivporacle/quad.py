@@ -104,6 +104,8 @@ class IntegralEstimate:
 
     def __init__(self, value, queries):  # checked, then set in one write, as HolderSmoothness is
         v = np.asarray(value, dtype=float)
+        if v.ndim > 2 or 0 in v.shape:
+            raise ContractViolationError(f"value must be (dim,) or (k, dim) with no empty axis, got {v.shape}")
         self.__dict__.update(value=_frozen(v.reshape(1) if v.ndim == 0 else v),
                              queries=check_count("queries", queries, 0))
 
@@ -305,23 +307,29 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     outlier band ``[-10 eps1, -eps1) u (eps1, 10 eps1]`` otherwise, so a
     single call succeeds at the advertised 3/4 rate and boosting has genuine
     outliers to suppress.  ``reference`` is the integral the device would
-    estimate, which the caller computes (the solver with
-    :func:`integrate_reference`), so no integrand is passed or evaluated;
-    queries are charged at the modeled budget.
+    estimate, a real number or non-empty 1-d array the caller computes (the
+    solver with :func:`integrate_reference`), so no integrand is passed or
+    evaluated; queries are charged at the modeled budget.
 
     The draws are one ``(k, dim, 3)`` block from ``rng`` (default
     ``default_rng(config.seed)``; ``k = 1`` for a single call): each
     component reads three fixed slots, band, noise and sign.  With ``k`` the
     ``(k, dim)`` values are returned, charged at ``k`` times the budget.
     """
+    ref = np.asarray(reference)
+    if ref.dtype.kind not in "iuf" or ref.ndim > 1 or ref.size == 0:
+        raise ContractViolationError("reference must be a real number or a non-empty 1-d array, "
+                                     f"got {ref.dtype} of shape {ref.shape}")
     rng, runs = _runs(cfg, rng, k)
-    reference = np.asarray(reference, dtype=float).reshape(-1)
-    eps = cfg.eps1
-    band, unit, sign = rng.random((runs, len(reference), 3)).transpose(2, 0, 1)
-    # Noise is computed as ``Generator.uniform(lo, hi)`` does it, ``lo + (hi - lo) * random()``.
+    noise = _noise(cfg.eps1, rng.random((runs, ref.size, 3)))
+    return _emit(ref.reshape(-1) + (noise[0] if k is None else noise), runs * _budget(cfg, 1.0))
+
+
+def _noise(eps: float, draws: np.ndarray) -> np.ndarray:
+    """The noise of ``draws`` whose last axis is band, noise and sign, as ``Generator.uniform`` makes it."""
+    band, unit, sign = draws[..., 0], draws[..., 1], draws[..., 2]
     magnitude = eps + (10.0 * eps - eps) * unit
-    noise = np.where(band < 0.75, -eps + (eps - -eps) * unit, np.where(sign < 0.5, magnitude, -magnitude))
-    return _emit(reference + (noise[0] if k is None else noise), runs * _budget(cfg, 1.0))
+    return np.where(band < 0.75, -eps + (eps - -eps) * unit, np.where(sign < 0.5, magnitude, -magnitude))
 
 
 def boost_median(run: Callable[[int], IntegralEstimate], k: int) -> IntegralEstimate:
@@ -350,20 +358,29 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     for odd ``k`` and the mean of the middle two for even ``k``, both summed
     from ``+0.0`` as ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.
     A column holding a NaN gets the NaN its last partitioned entry holds.
-    An empty batch, ``k = 0``, is a :class:`ContractViolationError`.
     """
-    k = len(batch.value)
-    if k == 0:
-        raise ContractViolationError("median_of needs a batch of at least one run, got k = 0")
-    m = k // 2
     s = batch.value.copy(order="K")
-    s.partition([m, -1] if k % 2 else [m - 1, m, -1], axis=0)
-    median = 0.0 + s[m] if k % 2 else (0.0 + s[m - 1] + s[m]) / 2
-    if math.isnan(np.maximum.reduce(s[-1], axis=None, initial=-math.inf)):  # maximum keeps a NaN
-        median = np.where(np.isnan(s[-1]), s[-1], median)
+    median = _median_rule(*_middle(s), len(s))
     if s.ndim == 1:  # k runs of one component: a scalar, which IntegralEstimate makes (1,)
         return IntegralEstimate(value=median, queries=batch.queries)
     return _emit(median, batch.queries)
+
+
+def _middle(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition ``s``'s ``k`` runs in place along its first axis, as ``np.median`` does: its
+    middle two entries (one twice for odd ``k``), and its last, which holds any NaN."""
+    k, m = len(s), len(s) // 2
+    s.partition([m, -1] if k % 2 else [m - 1, m, -1], axis=0)
+    return s[m - 1 + k % 2], s[m], s[-1]
+
+
+def _median_rule(lo, hi, last, k: int):
+    """``np.median``'s value from the middle entries ``lo`` and ``hi`` of ``k`` runs: ``lo`` for odd
+    ``k``, the mean of both for even ``k``, summed from ``+0.0``; where ``last`` is a NaN, that NaN."""
+    median = 0.0 + lo if k % 2 else (0.0 + lo + hi) / 2
+    if math.isnan(np.maximum.reduce(last, axis=None, initial=-math.inf)):  # maximum keeps a NaN
+        median = np.where(np.isnan(last), last, median)
+    return median
 
 
 def repetitions_for(delta: float, n: int, c: float = 3.0) -> int:

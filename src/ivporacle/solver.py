@@ -7,7 +7,8 @@ One solve on a uniform grid ``x_i = a + i h`` repeats, from the current state
    and derive from it the local Taylor piece ``l_i`` (degree ``r+1``);
 2. estimate ``A_i ~ int_0^1 g_i(u) du`` for the scaled residual ``g_i`` with
    the mode's integral oracle at per-step accuracy ``eps1 = h``, boosted by a
-   componentwise median for the probabilistic oracles;
+   componentwise median for the probabilistic oracles, which ``quantum_sim``
+   reads off the middle pair of its noise, ordered a block of steps at a time;
 3. read ``int w_i(l_i(t)) dt`` over the step, which each evaluation of
    ``g_i`` computes exactly (a Gauss rule exact for its degree) in the same
    pass over ``l_i`` and ``w_i``, so every corrector evaluates ``g_i``;
@@ -22,20 +23,19 @@ rule in :class:`~ivporacle.problem.CostLedger`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (ContractViolationError, DivergenceError, DomainError, StationaryStartError,
                      check_count, check_real, check_seed, is_real, step_power)
-# eval_rhs, boost_median, derive_seed and integrate_w_of_l are unused here, and a
-# quantum_sim step calls integrate_reference by a second name, quantum_reference
-# (below); they stay module attributes because the benchmark's tracer
-# (perfbench/spans.py) patches them by name.
+# eval_rhs, boost_median, derive_seed, integrate_quantum_sim and integrate_w_of_l
+# are unused here, and a quantum_sim step calls integrate_reference by a second
+# name, quantum_reference (below); they stay module attributes because the
+# benchmark's tracer (perfbench/spans.py) patches them by name.
 from .problem import CostLedger, IVPProblem, Reference, eval_rhs  # noqa: F401
 from .quad import (  # noqa: F401
     REFERENCE_TOL,
-    IntegralEstimate,
     OracleConfig,
     _built,
     boost_median,
@@ -48,6 +48,7 @@ from .quad import (  # noqa: F401
     median_of,
     repetitions_for,
 )
+from .quad import _budget, _median_rule, _middle, _noise
 from .taylor import (  # noqa: F401
     ResidualIntegrand,
     VecPolynomial,
@@ -72,6 +73,10 @@ ROUNDING_ULPS = 64
 #: sup_error evaluates pieces this many at a time, which bounds the memory
 #: its sample arrays and reference values take at any n.
 AUDIT_PIECES = 64
+
+#: quantum_sim noise is ordered this many steps at a time, in max(one step's draws, NOISE_DOUBLES) doubles.
+NOISE_STEPS = 64
+NOISE_DOUBLES = 2 ** 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,13 +124,14 @@ class Trajectory:
 
 
 class _Run(NamedTuple):
-    """What a corrector needs beyond the step's residual; ``gen`` is the
-    solve's own Philox generator, ``None`` in the unboosted modes."""
+    """What a corrector needs beyond the step's residual; ``gen`` is the solve's Philox generator
+    and ``noise`` its ``_middle_noise``, lazy, read by quantum_sim steps only; ``None`` when unboosted."""
 
     ledger: CostLedger
     oracle: OracleConfig
     k: int
     gen: Optional[np.random.Generator]
+    noise: Optional[Iterator[tuple[np.ndarray, np.ndarray]]] = None
 
     def rng(self, i: int) -> np.random.Generator:
         """Step ``i``'s Philox stream, keyed by ``(oracle.seed, i)``; its k runs draw one block.
@@ -166,19 +172,35 @@ def _det_values(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
 
 
 def _randomized(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
-    return _boosted(integrate_randomized(g, run.oracle, rng=run.rng(i), k=run.k), run)
+    batch = integrate_randomized(g, run.oracle, rng=run.rng(i), k=run.k)
+    return _boosted(run, batch.queries, median_of(batch).value)
 
 
 def _quantum_sim(g: ResidualIntegrand, i: int, run: _Run) -> np.ndarray:
+    """``median_of`` of the step's simulator batch, bit for bit, as ``fl(ref + x)`` is monotone in ``x``."""
     reference = quantum_reference(g, tol=reference_tol(g.scale, g.w.tensors[0]))
-    est = integrate_quantum_sim(run.oracle, reference, rng=run.rng(i), k=run.k)
-    return _boosted(est, run)
+    lo, hi = next(run.noise)
+    top = reference + hi
+    median = _median_rule(top if run.k % 2 else reference + lo, top, top, run.k)
+    return _boosted(run, run.k * _budget(run.oracle, 1.0), median)
 
 
-def _boosted(batch: IntegralEstimate, run: _Run) -> np.ndarray:
-    run.ledger.charge_queries(batch.queries)
+def _boosted(run: _Run, queries: int, a_i: np.ndarray) -> np.ndarray:
+    run.ledger.charge_queries(queries)
     run.ledger.charge_repetitions(run.k)
-    return median_of(batch).value
+    return a_i
+
+
+def _middle_noise(run: _Run, n: int, dim: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Steps ``0 .. n-1``'s middle pairs of ``integrate_quantum_sim``'s noise on their streams, in turn,
+    made ``NOISE_STEPS`` steps at a time in at most ``max(one step's draws, NOISE_DOUBLES)`` doubles."""
+    steps = max(1, min(NOISE_STEPS, NOISE_DOUBLES // (run.k * dim * 3)))
+    for first in range(0, n, steps):
+        block = np.empty((min(steps, n - first), run.k, dim, 3))
+        for j, draws in enumerate(block):
+            run.rng(first + j).random(out=draws)
+        lo, hi, _ = _middle(_noise(run.oracle.eps1, block).swapaxes(0, 1))
+        yield from zip(lo, hi)
 
 
 class _Mode(NamedTuple):
@@ -225,6 +247,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     k = repetitions_for(cfg.delta, n, cfg.c) if mode.boosted else 1
     gen = np.random.Generator(np.random.Philox(key=0)) if mode.boosted else None
     run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, gen=gen)
+    run = run._replace(noise=_middle_noise(run, n, len(problem.eta))) if mode.boosted else run
 
     bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
     y = problem.eta  # read-only, rebound each step

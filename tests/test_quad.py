@@ -7,6 +7,7 @@ themselves.
 
 import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,12 @@ class TestEstimateAndConfigContracts:
     def test_numpy_queries_stored_as_int(self):
         est = IntegralEstimate(value=0.0, queries=np.int64(3))
         assert type(est.queries) is int and est.queries == 3
+
+    @pytest.mark.parametrize("value", [np.zeros((3, 2, 2)), np.zeros((1, 1, 1)), np.zeros((3, 0)),
+                                       np.zeros((0, 2)), np.zeros(0), [[]]])
+    def test_estimate_refuses_more_than_two_axes_or_an_empty_one(self, value):
+        with pytest.raises(ContractViolationError, match="no empty axis"):
+            IntegralEstimate(value=value, queries=4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(eps1=0.0, smoothness=(0, 1.0)),
@@ -565,6 +572,56 @@ def _old_integrate_quantum_sim(cfg, reference, rng, k):
     return np.array(values)
 
 
+@pytest.mark.parametrize("reference", [np.zeros((2, 2)), np.zeros(0), [[0.5]], "0.5", True, 1 + 2j,
+                                       np.array([1 + 0j]), np.array([None])])
+def test_quantum_sim_refuses_a_reference_that_is_not_a_real_vector(reference):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ContractViolationError, match="reference must be"):
+        integrate_quantum_sim(quant_cfg(1e-2), reference, rng=rng, k=3)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_quantum_sim_accepts_a_real_number_or_vector():
+    for reference in (0.5, np.float32(0.5), 2, np.int64(-3), np.array(0.5), [0.25, -1], np.arange(3)):
+        est = integrate_quantum_sim(quant_cfg(1e-2), reference, k=2)
+        assert est.value.shape == (2, np.size(reference))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 34])
+def test_a_quantum_sim_step_reads_its_median_off_the_noise(monkeypatch, k):
+    """``fl(ref + x)`` is monotone in ``x``, so a quantum_sim step's rule on the
+    reference plus the noise's middle pair is ``median_of`` of the reference
+    plus all its runs' noise, bit for bit: ties that rounding makes at
+    ``ref = 1e16``, the signed zeros of ``ref = -noise_j``, +-inf, and NaNs of
+    either sign and another payload."""
+    gen = np.random.default_rng(29)
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+    eps = 0.7
+    for trial in range(200):
+        dim = int(gen.integers(1, 4))
+        noise = quad._noise(eps, gen.random((k, dim, 3)))
+        if trial % 4 == 0:  # exact noise values, repeated, and zeros
+            noise = gen.choice([0.0, 0.5, -0.5, 1.0, -1.0, eps, -eps], size=(k, dim))
+        reference = gen.normal(size=dim) * 10.0 ** gen.integers(-3, 4)
+        picks = gen.integers(0, 6, size=dim)
+        reference[picks == 1] = 1e16
+        reference[picks == 2] = -noise[gen.integers(0, k, size=dim), np.arange(dim)][picks == 2]
+        specials = gen.choice([math.inf, -math.inf, math.nan, -math.nan, payload_nan], size=dim)
+        reference[picks == 3] = specials[picks == 3]
+        with np.errstate(invalid="ignore"):
+            want = median_of(IntegralEstimate(reference + noise, queries=7))
+        lo, hi, _ = quad._middle(noise.copy())
+        g = types.SimpleNamespace(scale=1.0, w=types.SimpleNamespace(tensors=[np.ones(dim)]))
+        monkeypatch.setattr(solver, "quantum_reference", lambda g, tol: reference)
+        ledger = solver.CostLedger()
+        run = solver._Run(ledger=ledger, oracle=quant_cfg(eps), k=k, gen=None, noise=iter([(lo, hi)]))
+        with np.errstate(invalid="ignore"):
+            got = solver._quantum_sim(g, 0, run)
+        assert got.tobytes() == want.value.tobytes(), (reference, noise)
+        assert (ledger.oracle_queries, ledger.repetitions) == (k * _budget(quant_cfg(eps), 1.0), k)
+
+
 def test_quantum_sim_matches_old_loop_bit_for_bit():
     fuzz = np.random.default_rng(21)
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 0.3]
@@ -715,7 +772,8 @@ class TestBoostMedian:
 
     @pytest.mark.parametrize("value", [np.zeros((0, 2)), np.zeros(0)])
     def test_median_of_refuses_an_empty_batch(self, value):
-        with pytest.raises(ContractViolationError, match="k = 0"):
+        # the estimate's constructor refuses it, before median_of sees it
+        with pytest.raises(ContractViolationError, match="no empty axis"):
             median_of(IntegralEstimate(value=value, queries=0))
 
     def test_median_of_equals_numpy_median(self):
@@ -746,8 +804,7 @@ class TestBoostMedian:
 
     def test_median_of_matches_the_public_constructor(self):
         gen = np.random.default_rng(5)
-        for value in (gen.normal(size=(5, 2)), np.array([[1.0, np.nan], [3.0, 0.0]]), gen.normal(size=4),
-                      gen.normal(size=(3, 2, 2))):
+        for value in (gen.normal(size=(5, 2)), np.array([[1.0, np.nan], [3.0, 0.0]]), gen.normal(size=4)):
             batch = IntegralEstimate(value=value, queries=4)
             assert_as_public(median_of(batch), value, batch.value)
 

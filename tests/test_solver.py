@@ -49,7 +49,7 @@ from ivporacle import (
     solve,
     sup_error,
 )
-from ivporacle import solver, taylor
+from ivporacle import quad, solver, taylor
 from ivporacle.problem import _G_REGISTRY
 from ivporacle.solver import reference_tol
 from conftest import assert_as_public, per_partial_jet, per_partial_oracle
@@ -690,17 +690,55 @@ def public_stepper(problem, cfg):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["logistic", "integration-reduction"])
 def test_solve_matches_a_loop_of_public_steps(mode, name):
-    """``solve``, whose step integral rides on the residual's evaluations,
-    against ``public_stepper``: same endpoints, pieces and ledger, bit for bit."""
+    """``solve``, whose step integral rides on the residual's evaluations and
+    whose quantum_sim steps read their medians off noise ordered a block of
+    steps at a time, against ``public_stepper``: same endpoints, pieces and
+    ledger, bit for bit.  n = 133 ends in a partial block; c = 0.1 gives
+    k = 1 at n = 8 and k = 2 at n = 133, and c = 1.0 gives k = 6 at n = 16."""
+    configs = (dict(n=8, seed=12345), dict(n=5, seed=1, delta=0.3), dict(n=133, seed=7),
+               dict(n=8, seed=2, c=0.1), dict(n=133, seed=3, c=0.1), dict(n=16, seed=4, c=1.0, delta=0.3))
     for r in range(4):
         p = catalog(name, r=r)
-        for cfg in (SolveConfig(n=8, mode=mode, seed=12345), SolveConfig(n=5, mode=mode, seed=1, delta=0.3)):
+        for cfg in (SolveConfig(mode=mode, **kwargs) for kwargs in configs):
             states, pieces, ledger = public_stepper(p, cfg)
             traj = solve(p, cfg)
             assert traj.endpoints.tobytes() == states.tobytes()
             assert [(q.center.hex(), q.coeffs.tobytes()) for q in traj.pieces] == \
                 [(q.center.hex(), q.coeffs.tobytes()) for q in pieces]
             assert traj.ledger == ledger
+
+
+@pytest.mark.parametrize("bound", [1, 200, 2000, 2 ** 16])
+def test_a_noise_block_stays_within_its_bound(monkeypatch, bound):
+    """A quantum_sim solve orders its noise in blocks of at most NOISE_STEPS
+    steps and ``max(one step's draws, NOISE_DOUBLES)`` doubles, drawn from
+    steps 0 .. n-1 in order and never past the last; the solve is the same
+    bit for bit whatever the bound."""
+    problem = catalog("integration-reduction", r=1)
+    cfg = SolveConfig(n=133, mode="quantum_sim", seed=9)
+    want = solve(problem, cfg)
+    blocks, drawn = [], []
+
+    def noise(eps, draws):
+        blocks.append(draws.shape)
+        return quad._noise(eps, draws)
+
+    def rng(run, i, original=solver._Run.rng):
+        drawn.append(i)
+        return original(run, i)
+
+    monkeypatch.setattr(solver, "_noise", noise)
+    monkeypatch.setattr(solver._Run, "rng", rng)
+    monkeypatch.setattr(solver, "NOISE_DOUBLES", bound)
+    got = solve(problem, cfg)
+    k, dim = repetitions_for(cfg.delta, cfg.n, cfg.c), 2
+    assert drawn == list(range(cfg.n))
+    assert sum(steps for steps, _, _, _ in blocks) == cfg.n
+    for steps, runs, d, slots in blocks:
+        assert (runs, d, slots) == (k, dim, 3)
+        assert steps <= solver.NOISE_STEPS and steps * k * dim * 3 <= max(k * dim * 3, bound)
+    assert len(blocks) == -(-cfg.n // max(1, min(solver.NOISE_STEPS, bound // (k * dim * 3))))
+    assert got.endpoints.tobytes() == want.endpoints.tobytes() and got.ledger == want.ledger
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -6,7 +6,11 @@ change keeps every trajectory bit for bit.
 Run it from any directory; it imports the package from the ``src/`` next to
 this script.  The matrix is every catalog problem x mode x r in 0-3 x
 n in {8, 16, 64, 256} x seed in {0, 1, 12345}, then the benchmark's
-``boosted`` and ``deterministic`` requests at seed 0: 780 solves.  For each
+``boosted`` and ``deterministic`` requests at seed 0 (780 solves), then
+``quantum_sim`` solves of every catalog problem x r in 0-3 x seed in {0, 1}
+at the ``(n, c, delta)`` of ``QUANTUM_EXTRA``: k = 1, k = 2, an odd k ending
+in a partial block of noise, and an even k over more than three blocks,
+another 128 solves.  For each
 solve the digest reads the endpoints, each piece's center and coefficients,
 the ledger and ``sup_error`` against the problem's reference, or the type and
 message of the error the solve raised.  Two trees print the same digest only
@@ -44,20 +48,30 @@ BENCH_REQUESTS = (
     ("det_exact", "scalar-exponential", 3, 1024),
 )
 
+# (n, c, delta) of the further quantum_sim solves, and the k each gives
+QUANTUM_EXTRA = (
+    (8, 0.1, 0.1),  # k = 1
+    (133, 0.1, 0.1),  # k = 2
+    (133, 3.0, 0.1),  # k = 31
+    (200, 1.0, 0.3),  # k = 10
+)
+
 
 def cases():
-    """``(mode, problem, r, n, seed)`` of every solve, in digest order."""
+    """``(mode, problem, r, n, seed[, c, delta])`` of every solve, in digest order."""
     for name, mode, r, n, seed in itertools.product(iv.catalog_names(), iv.MODES, R, N, SEEDS):
         yield mode, name, r, n, seed
     for mode, name, r, n in BENCH_REQUESTS:
         yield mode, name, r, n, 0
+    for name, r, (n, c, delta), seed in itertools.product(iv.catalog_names(), R, QUANTUM_EXTRA, (0, 1)):
+        yield "quantum_sim", name, r, n, seed, c, delta
 
 
-def solve_bytes(mode: str, name: str, r: int, n: int, seed: int) -> bytes:
+def solve_bytes(mode: str, name: str, r: int, n: int, seed: int, c: float = 3.0, delta: float = 0.1) -> bytes:
     """Everything one solve's output is judged by, as bytes."""
     problem = iv.catalog(name, r=r)
     try:
-        traj = iv.solve(problem, iv.SolveConfig(n=n, mode=mode, seed=seed))
+        traj = iv.solve(problem, iv.SolveConfig(n=n, mode=mode, seed=seed, c=c, delta=delta))
         error = iv.sup_error(traj, problem.reference)
     except (iv.ContractViolationError, iv.DomainError, iv.DivergenceError) as exc:
         return f"{type(exc).__name__}: {exc}".encode()
