@@ -119,8 +119,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("problems", "modes", "r_values", "rho_values", "n_values", "seeds"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must list at least one value")
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or not value:  # an array's truth value is ambiguous
+                raise ConfigError(f"{name} must be a non-empty tuple or list, got {value!r}")
         if not self.out:
             raise ConfigError("out must be a path or '-'")
         if not isinstance(self.timing, bool):  # a truthy string would record wall times
@@ -206,19 +207,12 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
-    """Serialize rows with a header; '.' decimals, repr floats, LF endings."""
+    """Serialize rows with a header; each cell as ``str`` writes it ('.' decimals), LF endings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell(getattr(row, name)) for name in CSV_COLUMNS])
+    writer.writerows([getattr(row, name) for name in CSV_COLUMNS] for row in rows)
     return buf.getvalue()
 
 
@@ -341,19 +335,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         rows = run_sweep(config)
+        text = rows_to_csv(rows)
+        if config.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(config.out, "w", newline="") as fh:
+                fh.write(text)
     except (ConfigError, ContractViolationError, DomainError, UnknownProblemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows)
-    if config.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(config.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.report:
         _print_report(rows, args.report, config.delta)
     return 0

@@ -58,7 +58,7 @@ try:  # the C kernel np.einsum forwards to when optimize=False: its bits, withou
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as _einsum
 
-from .errors import ContractViolationError, check_count, check_real, check_seed
+from .errors import ContractViolationError, DomainError, check_count, check_real, check_seed
 from .problem import HolderSmoothness
 
 __all__ = [
@@ -306,7 +306,8 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     is uniform in ``[-eps1, eps1]`` with probability 3/4 and uniform over the
     outlier band ``[-10 eps1, -eps1) u (eps1, 10 eps1]`` otherwise, so a
     single call succeeds at the advertised 3/4 rate and boosting has genuine
-    outliers to suppress.  ``reference`` is the integral the device would
+    outliers to suppress; an ``eps1`` whose ``10 eps1`` overflows is a
+    :class:`DomainError`.  ``reference`` is the integral the device would
     estimate, a real number or non-empty 1-d array the caller computes (the
     solver with :func:`integrate_reference`), so no integrand is passed or
     evaluated; queries are charged at the modeled budget.
@@ -320,6 +321,8 @@ def integrate_quantum_sim(cfg: OracleConfig, reference: np.ndarray,
     if ref.dtype.kind not in "iuf" or ref.ndim > 1 or ref.size == 0:
         raise ContractViolationError("reference must be a real number or a non-empty 1-d array, "
                                      f"got {ref.dtype} of shape {ref.shape}")
+    if 10.0 * cfg.eps1 == math.inf:  # step_power's rule, for the outlier band's edge
+        raise DomainError(f"eps1 = {cfg.eps1!r} is unusable: the outlier band's edge 10 * eps1 overflows")
     rng, runs = _runs(cfg, rng, k)
     noise = _noise(cfg.eps1, rng.random((runs, ref.size, 3)))
     return _emit(ref.reshape(-1) + (noise[0] if k is None else noise), runs * _budget(cfg, 1.0))
@@ -358,12 +361,12 @@ def median_of(batch: IntegralEstimate) -> IntegralEstimate:
     for odd ``k`` and the mean of the middle two for even ``k``, both summed
     from ``+0.0`` as ``np.median`` sums, so a ``-0.0`` median reads ``+0.0``.
     A column holding a NaN gets the NaN its last partitioned entry holds.
+    One run's ``(dim,)`` value is not a batch: :class:`ContractViolationError`.
     """
+    if batch.value.ndim != 2:
+        raise ContractViolationError(f"median_of needs a (k, dim) batch, got a value of shape {batch.value.shape}")
     s = batch.value.copy(order="K")
-    median = _median_rule(*_middle(s), len(s))
-    if s.ndim == 1:  # k runs of one component: a scalar, which IntegralEstimate makes (1,)
-        return IntegralEstimate(value=median, queries=batch.queries)
-    return _emit(median, batch.queries)
+    return _emit(_median_rule(*_middle(s), len(s)), batch.queries)
 
 
 def _middle(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

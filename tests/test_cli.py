@@ -1,11 +1,15 @@
 """CLI tests: config plumbing, sweep mechanics, CSV format, slope estimators."""
 
+import csv
+import io
 import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 import ivporacle
@@ -98,10 +102,16 @@ class TestExperimentConfig:
         dict(eta=math.nan),
         dict(interval=(1.0,)),
         dict(interval=(1.0, 0.0)),
+        dict(n_values=np.array([8, 16])),  # its truth value is ambiguous
+        dict(problems="logistic"),  # not split into characters
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    def test_a_string_is_not_a_list_setting(self):
+        with pytest.raises(ConfigError, match="problems must be a non-empty tuple or list, got 'logistic'"):
+            ExperimentConfig(problems="logistic")
 
 
 class TestRunSweep:
@@ -188,6 +198,19 @@ class TestCsv:
     def test_byte_identical_reruns(self):
         cfg = ExperimentConfig(modes=("quantum_sim",), n_values=(8, 16), seeds=(0, 1))
         assert rows_to_csv(run_sweep(cfg)) == rows_to_csv(run_sweep(cfg))
+
+    def test_numpy_scalar_settings_write_numbers(self):
+        """Each cell is written as ``str`` writes it, so a sweep of numpy
+        scalars writes the bytes of the same sweep of Python scalars."""
+        modes = ("det_exact", "randomized")
+        numpy_cfg = ExperimentConfig(modes=modes, n_values=tuple(np.array([8, 16])),
+                                     rho_values=(np.float64(1.0),), delta=np.float64(0.1),
+                                     seeds=(np.uint64(0),))
+        python_cfg = ExperimentConfig(modes=modes, n_values=(8, 16), rho_values=(1.0,), delta=0.1, seeds=(0,))
+        text = rows_to_csv(run_sweep(numpy_cfg))
+        assert text == rows_to_csv(run_sweep(python_cfg))
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(float(row["h"]), float(row["rho"])) for row in rows] == [(0.125, 1.0), (0.0625, 1.0)] * 2
 
 
 class TestEstimateOrder:
@@ -357,6 +380,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: step size h = ") and "overflows" in captured.err
+
+    @pytest.mark.parametrize("exc", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")])
+    def test_failed_stdout_write_exits_2(self, exc, monkeypatch, capsys):
+        def write(text):
+            raise exc
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=write))
+        assert main(["--n-grid", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_stationary_start_does_not_abort(self, tmp_path, capsys):
         cfg_file = tmp_path / "sweep.ini"

@@ -16,6 +16,7 @@ import pytest
 from ivporacle import (
     MODES,
     ContractViolationError,
+    DomainError,
     IntegralEstimate,
     OracleConfig,
     SolveConfig,
@@ -582,6 +583,20 @@ def test_quantum_sim_refuses_a_reference_that_is_not_a_real_vector(reference):
     assert rng.bit_generator.state == state  # refused before any draw
 
 
+@pytest.mark.parametrize("eps1", [1.8e307, 1e308])
+def test_quantum_sim_refuses_an_eps1_whose_outlier_band_overflows(eps1):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="10 \\* eps1 overflows"):
+        integrate_quantum_sim(quant_cfg(eps1), 0.0, rng=rng, k=200)
+    assert rng.bit_generator.state == state  # refused before any draw
+
+
+def test_quantum_sim_below_the_overflow_stays_finite():
+    est = integrate_quantum_sim(quant_cfg(1.7e307), 0.0, k=200)
+    assert np.isfinite(est.value).all() and np.abs(est.value).max() > 1.7e307  # outliers drawn
+
+
 def test_quantum_sim_accepts_a_real_number_or_vector():
     for reference in (0.5, np.float32(0.5), 2, np.int64(-3), np.array(0.5), [0.25, -1], np.arange(3)):
         est = integrate_quantum_sim(quant_cfg(1e-2), reference, k=2)
@@ -797,14 +812,22 @@ class TestBoostMedian:
                     got = median_of(IntegralEstimate(value=value, queries=k))
                 assert got.value.tobytes() == want.tobytes(), value
                 assert got.queries == k
-        # one component's runs as a 1-d batch: its (1,) median
-        value = np.array([0.5, np.nan, 2.0, -1.0])
-        want = np.median(value[:, None], axis=0)
+        # one component's runs as a (k, 1) batch: its (1,) median
+        value = np.array([[0.5], [np.nan], [2.0], [-1.0]])
+        want = np.median(value, axis=0)
         assert median_of(IntegralEstimate(value=value, queries=4)).value.tobytes() == want.tobytes()
+
+    def test_median_of_refuses_one_run(self):
+        """One run's ``(dim,)`` value is not ``dim`` runs of one component."""
+        for run in (integrate_quantum_sim(quant_cfg(1e-2), [0.0, 5.0, 10.0]),
+                    IntegralEstimate(value=[0.5, np.nan, 2.0, -1.0], queries=4),
+                    IntegralEstimate(value=0.5, queries=1)):
+            with pytest.raises(ContractViolationError, match=r"needs a \(k, dim\) batch"):
+                median_of(run)
 
     def test_median_of_matches_the_public_constructor(self):
         gen = np.random.default_rng(5)
-        for value in (gen.normal(size=(5, 2)), np.array([[1.0, np.nan], [3.0, 0.0]]), gen.normal(size=4)):
+        for value in (gen.normal(size=(5, 2)), np.array([[1.0, np.nan], [3.0, 0.0]]), gen.normal(size=(4, 1))):
             batch = IntegralEstimate(value=value, queries=4)
             assert_as_public(median_of(batch), value, batch.value)
 
