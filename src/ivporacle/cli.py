@@ -122,6 +122,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)) or not value:  # an array's truth value is ambiguous
                 raise ConfigError(f"{name} must be a non-empty tuple or list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))  # hashable, and the caller's list cannot change it
         if not self.out:
             raise ConfigError("out must be a path or '-'")
         if not isinstance(self.timing, bool):  # a truthy string would record wall times

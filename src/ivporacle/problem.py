@@ -174,7 +174,9 @@ def _check_point(problem: IVPProblem, y: np.ndarray, batch: bool = False) -> np.
     if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[0] != problem.dim:
         allowed = f"({problem.dim},) or ({problem.dim}, m)" if batch else f"({problem.dim},)"
         raise ContractViolationError(f"point must have shape {allowed}, got {y.shape}")
-    if not np.logical_and.reduce(np.isfinite(y), axis=None):
+    # a point's few entries are tested on Python floats, which skips numpy's per-call cost
+    if not (all(map(math.isfinite, y.tolist())) if y.ndim == 1
+            else np.logical_and.reduce(np.isfinite(y), axis=None)):
         raise DomainError("evaluation point must be finite")
     return y
 

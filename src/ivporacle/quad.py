@@ -30,7 +30,8 @@ All oracles are deterministic functions of their inputs and, for the two
 randomized ones, of the generator they draw from (``default_rng(config.seed)``
 unless given).  Integrands map a float array of shape ``(m,)`` to values of
 shape ``(m,)`` or ``(dim, m)``, and must not write to their argument, which
-may be a cached, read-only node array.  They are pointwise: the value at
+may be a cached, read-only node array (the step residual keeps a scaled
+copy of the last one it was handed).  They are pointwise: the value at
 ``u`` depends only on ``u``, so an oracle evaluates all its node sets in one
 call, and the values do not depend on how the nodes are grouped.  Oracles charge nothing themselves: each
 reports its price in ``IntegralEstimate.queries``, and the caller charges it.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from typing import Callable, Optional
 
 import numpy as np
@@ -188,6 +190,10 @@ def _vandermonde_inv(q: int) -> np.ndarray:
     return inv
 
 
+#: The node arrays :func:`_panel_nodes` made and that are still alive, by ``id``.
+_OWN_NODES = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=64)
 def _panel_nodes(panels: int | tuple[int, ...], q: int) -> np.ndarray:
     """The q Gauss nodes of each of ``panels`` equal panels of [0, 1], panel by panel; for a
@@ -197,7 +203,18 @@ def _panel_nodes(panels: int | tuple[int, ...], q: int) -> np.ndarray:
     nodes = np.concatenate([((np.arange(p, dtype=float)[:, None] + nodes_ref[None, :]) / p).reshape(-1)
                             for p in counts])
     nodes.setflags(write=False)
+    _OWN_NODES[id(nodes)] = nodes
     return nodes
+
+
+def _is_own_nodes(u: np.ndarray) -> bool:
+    """Whether ``u`` is a node array :func:`_panel_nodes` made, not a caller's."""
+    return not u.flags.writeable and _OWN_NODES.get(id(u)) is u
+
+
+def _within(x: np.ndarray, bound: float) -> bool:
+    """``np.maximum.reduce(np.abs(x)) <= bound`` for a 1-d ``x``, on Python floats: a NaN fails it."""
+    return all(abs(v) <= bound for v in x.tolist())
 
 
 def _gauss_sum(vals: np.ndarray, panels: int) -> np.ndarray:
@@ -223,7 +240,7 @@ def integrate_reference(g, tol: float = REFERENCE_TOL) -> np.ndarray:
     check_real("tol", tol, 0, math.inf)
     both = _eval(g, _panel_nodes((8, 16), 16))
     prev, cur, panels = _gauss_sum(both[:, :8 * 16], 8), _gauss_sum(both[:, 8 * 16:], 16), 16
-    while not np.maximum.reduce(np.abs(cur - prev)) <= tol and panels < REFERENCE_MAX_PANELS:
+    while not _within(cur - prev, tol) and panels < REFERENCE_MAX_PANELS:
         panels *= 2
         prev, cur = cur, _gauss_sum(_eval(g, _panel_nodes(panels, 16)), panels)
     return cur

@@ -48,7 +48,7 @@ from .quad import (  # noqa: F401
     median_of,
     repetitions_for,
 )
-from .quad import _budget, _median_rule, _middle, _noise
+from .quad import _budget, _median_rule, _middle, _noise, _within
 from .taylor import (  # noqa: F401
     ResidualIntegrand,
     VecPolynomial,
@@ -249,7 +249,7 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
     run = _Run(ledger=ledger, oracle=oracle_cfg, k=k, gen=gen)
     run = run._replace(noise=_middle_noise(run, n, len(problem.eta))) if mode.boosted else run
 
-    bound = DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta)))
+    bound = float(DIVERGENCE_FACTOR * (1.0 + np.max(np.abs(problem.eta))))
     y = problem.eta  # read-only, rebound each step
     pieces = []
     endpoints = [y]
@@ -264,9 +264,8 @@ def solve(problem: IVPProblem, cfg: SolveConfig) -> Trajectory:
 
         y = y + g_i.step_integral + scale * a_i
         y.setflags(write=False)  # so the next step's TaylorMap keeps it without a copy
-        norm = np.maximum.reduce(np.abs(y))
-        if not norm <= bound:  # a NaN or infinite state fails it too
-            raise DivergenceError(step=i, norm=float(norm), ledger=ledger)
+        if not _within(y, bound):  # a NaN or infinite state fails it too
+            raise DivergenceError(step=i, norm=float(np.maximum.reduce(np.abs(y))), ledger=ledger)
         pieces.append(l_i)
         endpoints.append(y)
 

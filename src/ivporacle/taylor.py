@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import ContractViolationError, check_count, check_real, step_power
 # eval_partial is unused here; it stays a module attribute because the
 # benchmark's tracer (perfbench/spans.py) patches it by name.
 from .problem import CostLedger, IVPProblem, _check_point, eval_partial, eval_rhs  # noqa: F401
-from .quad import _built, _einsum, _frozen, _gauss_rule, horner
+from .quad import _built, _einsum, _frozen, _gauss_rule, _is_own_nodes, horner
 
 __all__ = [
     "VecPolynomial",
@@ -258,12 +258,20 @@ class ResidualIntegrand:
     ``step_integral``, the exact ``int w(l(t)) dt`` over the step, read-only
     and equal bit for bit to :func:`integrate_w_of_l`'s; the solver reads it
     after its oracle has evaluated ``g``.
+
+    The scaled grid ``concat(u, nodes) * h`` is kept, one for all residuals,
+    only when ``u`` is a node array the oracles cached (``quad._panel_nodes``),
+    and reused while ``u``, the rule and ``h`` stay: a solve's steps share it.
+    A caller's ``u``, even a read-only one, gets a fresh grid every time.
     """
 
     problem: IVPProblem
     w: TaylorMap
     l: VecPolynomial
     h: float
+
+    # (u, nodes, h, grid), replaced whole, so concurrent solves read a consistent one
+    _kept: ClassVar[tuple] = (None, None, None, None)
 
     def __post_init__(self):
         self.h = check_real("h", self.h, 0, math.inf)
@@ -278,7 +286,7 @@ class ResidualIntegrand:
         m = u.size
         nodes, weights = _exact_rule(self.w, self.l)
         # the piece at x_i + u h and at the exact rule's nodes, then w there, unchecked
-        pts = horner(self.l.coeffs[:, :, None], np.concatenate((u.reshape(-1), nodes)) * self.h)
+        pts = horner(self.l.coeffs[:, :, None], self._grid(u, nodes))
         w_l = self.w._batch(pts)
         integral = self.h * (w_l[:, m:] @ weights)
         integral.setflags(write=False)
@@ -288,3 +296,14 @@ class ResidualIntegrand:
         gap -= w_l[:, :m]  # gap is a fresh array, reused for the result
         gap *= self.scale
         return gap if u.ndim else gap[:, 0]
+
+    def _grid(self, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``concat(u, nodes) * h``, the kept one if it was made of the same arrays and ``h``."""
+        kept_u, kept_nodes, kept_h, grid = ResidualIntegrand._kept
+        if u is kept_u and nodes is kept_nodes and self.h == kept_h:
+            return grid
+        grid = np.concatenate((u.reshape(-1), nodes)) * self.h
+        if _is_own_nodes(u):
+            grid.setflags(write=False)
+            ResidualIntegrand._kept = (u, nodes, self.h, grid)
+        return grid

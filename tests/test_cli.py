@@ -113,6 +113,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="problems must be a non-empty tuple or list, got 'logistic'"):
             ExperimentConfig(problems="logistic")
 
+    def test_a_list_setting_is_kept_as_a_tuple(self):
+        """The frozen config hashes, and a list its caller changes afterwards does not reach the sweep."""
+        assert hash(ExperimentConfig(n_values=[8])) == hash(ExperimentConfig(n_values=(8,)))
+        ns = [8]
+        cfg = ExperimentConfig(n_values=ns)
+        ns.append(0)
+        assert cfg.n_values == (8,)
+        assert [row.n for row in run_sweep(cfg)] == [8]
+
 
 class TestRunSweep:
     def test_cartesian_row_count(self):

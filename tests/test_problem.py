@@ -23,7 +23,7 @@ from ivporacle import (
     eval_partial,
     eval_rhs,
 )
-from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS
+from ivporacle.problem import _G_REGISTRY, _SCALAR_ROWS, _check_point
 from conftest import per_partial_jet, per_partial_oracle
 
 
@@ -345,6 +345,22 @@ def test_point_shapes_accepted(user):
     if user == "eval_rhs":
         assert eval_rhs(p, np.full((2, 4), 0.3)).shape == (2, 4)
         assert eval_rhs(p, np.full((2, 0), 0.3)).shape == (2, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nonfinite_point_entry_rejected_in_every_position(dim):
+    """A point's entries are tested on Python floats, a batch's by numpy: both refuse
+    NaN, inf and -inf in every position, as np.isfinite does."""
+    p = make_problem(dim=dim)
+    for bad, j in itertools.product((math.nan, -math.nan, math.inf, -math.inf), range(dim)):
+        y = np.full(dim, 0.3)
+        y[j] = bad
+        for point, batch in ((y, False), (y, True), (y[:, None], True)):
+            with pytest.raises(DomainError, match="finite"):
+                _check_point(p, point, batch=batch)
+        with pytest.raises(DomainError, match="finite"):
+            eval_rhs(p, y)
+    assert _check_point(p, np.full(dim, 0.3)).shape == (dim,)
 
 
 # reference solutions must actually solve the ODE they are sold with

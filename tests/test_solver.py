@@ -906,16 +906,21 @@ def test_reference_stop_keeps_endpoints_to_rounding(monkeypatch, name, mode):
     assert fast.ledger == full.ledger
 
 
-def test_max_norms_keep_np_max_bits():
-    """The step's max-norms, ``np.maximum.reduce(np.abs(x))``, give the
-    bits of ``np.max(np.abs(x))``, NaNs included, and ``reference_tol``
-    those of its old body."""
+def _special_vectors() -> list[np.ndarray]:
+    """Vectors of NaNs (one with a payload), infinities, signed zeros, a subnormal and plain values."""
     payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
     specials = [np.nan, -np.nan, payload, np.inf, -np.inf, 0.0, -0.0, 1e-310, -2.5, 7.0]
     rng = np.random.default_rng(5)
     vectors = [np.array([s]) for s in specials]
     vectors += [rng.choice(specials, size=k) for k in (2, 3, 5) for _ in range(30)]
-    for x in vectors:
+    return vectors
+
+
+def test_max_norms_keep_np_max_bits():
+    """The step's max-norms, ``np.maximum.reduce(np.abs(x))``, give the
+    bits of ``np.max(np.abs(x))``, NaNs included, and ``reference_tol``
+    those of its old body."""
+    for x in _special_vectors():
         norm = np.maximum.reduce(np.abs(x))
         assert np.asarray(norm).tobytes() == np.asarray(np.max(np.abs(x))).tobytes()
         for scale in (1.0, 3.7e12, 0.0):
@@ -923,3 +928,37 @@ def test_max_norms_keep_np_max_bits():
                 old = max(solver.REFERENCE_TOL,
                           solver.ROUNDING_ULPS * np.finfo(float).eps * scale * float(np.max(np.abs(x))))
             assert np.float64(reference_tol(scale, x)).tobytes() == np.float64(old).tobytes()
+
+
+def test_python_float_max_norm_tests_keep_the_numpy_rule():
+    """The divergence test and the reference's stop test, ``quad._within`` on Python
+    floats, decide as ``np.maximum.reduce(np.abs(x)) <= bound``: a NaN anywhere fails."""
+    for x in _special_vectors():
+        for bound in (solver.REFERENCE_TOL, 1e-310, 2.5, 7.0, 1e300, math.inf):
+            assert quad._within(x, bound) is bool(np.maximum.reduce(np.abs(x)) <= bound), (x, bound)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_second_component_diverges_as_the_numpy_test_does(monkeypatch, mode, bad):
+    """A 2-d custom problem whose f turns NaN or infinite in its second component past
+    t = 0.45 diverges at that step, with the numpy norm's bits and the same ledger."""
+    p = catalog("integration-reduction:cos-pi", r=1)
+
+    def f(y):
+        out = p.f(y)
+        out[1, ...][y[0] > 0.45] = bad
+        return out
+
+    custom = dataclasses.replace(p, f=f, name="custom")
+    cfg = SolveConfig(n=10, mode=mode)
+    states = []
+    with monkeypatch.context() as m, np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as got:
+        m.setattr(solver, "_within", lambda y, bound: states.append(y) or quad._within(y, bound))
+        solve(custom, cfg)  # inf - inf may arise in the step
+    with monkeypatch.context() as m, np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as want:
+        m.setattr(solver, "_within", lambda y, bound: np.maximum.reduce(np.abs(y)) <= bound)
+        solve(custom, cfg)
+    assert got.value.step == want.value.step == len(states) - 1 == 4
+    assert np.float64(got.value.norm).tobytes() == np.max(np.abs(states[-1])).tobytes()
+    assert got.value.ledger == want.value.ledger and str(got.value) == str(want.value)

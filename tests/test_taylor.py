@@ -9,6 +9,8 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ivporacle import (
     ContractViolationError,
     CostLedger,
     ResidualIntegrand,
+    SolveConfig,
     TaylorMap,
     VecPolynomial,
     build_l,
@@ -26,9 +29,10 @@ from ivporacle import (
     eval_rhs,
     integrate_w_of_l,
     local_derivatives,
+    solve,
 )
 from ivporacle.problem import _G_REGISTRY
-from ivporacle.quad import _gauss_rule
+from ivporacle.quad import _gauss_rule, _is_own_nodes, _panel_nodes
 from ivporacle.taylor import _factorials
 from conftest import assert_as_public, per_partial_jet, per_partial_oracle, reference_integral
 
@@ -389,6 +393,88 @@ class TestResidual:
         for h in (0.0, -0.1, math.nan, math.inf, "1", None, True):
             with pytest.raises(ContractViolationError):
                 ResidualIntegrand(p, w, l, h)
+
+
+class TestKeptGrid:
+    """The residual keeps the scaled grid of the oracles' own node arrays, and of no other."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_grid(self, monkeypatch):
+        monkeypatch.setattr(ResidualIntegrand, "_kept", (None,) * 4)
+
+    @staticmethod
+    def residual(h=0.125, r=2):
+        p = catalog("integration-reduction:cos-pi", r=r)
+        w = build_w(p, p.eta + 0.05)
+        return ResidualIntegrand(p, w, build_l(local_derivatives(w, r + 1), 0.2), h)
+
+    @staticmethod
+    def assert_fresh(g, values, u):
+        """``values`` and ``g.step_integral`` are those of a new residual at a copy of ``u``."""
+        fresh = TestKeptGrid.residual(g.h, g.w.order)
+        assert values.tobytes() == fresh(np.array(u)).tobytes()
+        assert g.step_integral.tobytes() == fresh.step_integral.tobytes()
+
+    def test_a_kept_grid_gives_the_bits_of_a_built_one(self):
+        for nodes in (_panel_nodes((8, 16), 16), _panel_nodes(32, 16), _panel_nodes(5, 2)):
+            for h, r in ((0.125, 2), (0.1, 2), (0.1, 1)):  # a new h, then a new exact rule
+                first = self.residual(h, r)
+                built = first(nodes)
+                kept = ResidualIntegrand._kept
+                assert kept[0] is nodes and kept[2] == h and not kept[3].flags.writeable
+                second = self.residual(h, r)
+                reused = second(nodes)
+                assert ResidualIntegrand._kept is kept  # reused, not built again
+                self.assert_fresh(first, built, nodes)
+                self.assert_fresh(second, reused, nodes)
+
+    def test_a_refrozen_caller_array_gets_a_fresh_grid(self):
+        u = np.linspace(0.05, 0.95, 7)
+        u.setflags(write=False)
+        g = self.residual()
+        g(u)
+        u.setflags(write=True)
+        u[3] = 0.123
+        u.setflags(write=False)
+        self.assert_fresh(g, g(u), u)
+        assert ResidualIntegrand._kept[0] is None
+
+    def test_a_writable_or_view_u_is_never_kept(self):
+        nodes = _panel_nodes(16, 16)
+        frozen = nodes.copy()
+        frozen.setflags(write=False)
+        for u in (nodes.copy(), nodes[:], nodes[2:], nodes[::2], frozen):
+            assert not _is_own_nodes(u)
+            g = self.residual()
+            self.assert_fresh(g, g(u), u)
+            assert ResidualIntegrand._kept[0] is None
+        assert _is_own_nodes(nodes)
+
+    def test_solves_in_threads_match_solves_in_turn(self):
+        """Solves at different h, rules and modes, run in four threads at once with
+        frequent switches, give the bits they give one after the other."""
+        requests = [("logistic", 3, "det_exact", 48), ("integration-reduction:cos-pi", 1, "det_exact", 40),
+                    ("scalar-exponential", 2, "det_values", 56), ("logistic", 1, "quantum_sim", 32)]
+
+        def run(name, r, mode, n):
+            traj = solve(catalog(name, r=r), SolveConfig(n=n, mode=mode))
+            return traj.endpoints.tobytes() + b"".join(piece.coeffs.tobytes() for piece in traj.pieces)
+
+        want = [run(*request) for request in requests]
+        got = [[] for _ in requests]
+        threads = [threading.Thread(target=lambda j=j: got[j].extend(run(*requests[j]) for _ in range(3)))
+                   for j in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[bits] * 3 for bits in want]
 
 
 @pytest.mark.parametrize("name,r,rho", [
